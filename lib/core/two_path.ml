@@ -15,8 +15,7 @@ type strategy = Matrix | Combinatorial
    heavy-part matrix product identified by its thresholds — and may
    return a previously built value for the same (r, s, thresholds)
    instead of calling it.  A memo is specific to the (r, s) pair it was
-   created for.  [no_memo] (the default) calls every builder directly,
-   so the unhooked paths stay byte-identical. *)
+   created for.  [no_memo] (the default) calls every builder directly. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product : d1:int -> d2:int -> (unit -> Boolmat.t) -> Boolmat.t;
@@ -49,11 +48,10 @@ let no_memo =
   }
 
 (* Cancellation support.  [check_cancel] is the phase-boundary
-   checkpoint; chunked merge loops poll every [poll_rows] rows (the
-   guard-checkpoint granularity), reusing one merge scratch across
-   sub-chunks — stamps are row ids, distinct across chunks, so stale
-   stamps cannot collide.  With [?cancel] absent every loop below runs
-   its historical one-shot body. *)
+   checkpoint; the chunked merge loops poll every [poll_rows] rows (the
+   guard-checkpoint granularity), reusing one merge scratch per worker
+   across sub-chunks — stamps are row ids, distinct across chunks, so
+   stale stamps cannot collide.  An absent token is never polled. *)
 let check_cancel = function Some c -> Cancel.check c | None -> ()
 
 let poll_rows = 4096
@@ -154,9 +152,8 @@ let heavy_matrices_tiled ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
 (* The heavy boolean product behind the tiling gate: with a [?tile]
    config present and the cost model agreeing (operands big enough, or
    bigger than the configured resident budget), stream through
-   [Jp_tile] with per-tile memo keys; otherwise the historical flat
-   kernel behind the whole-product memo hook — byte-identical when
-   [tile] is [None]. *)
+   [Jp_tile] with per-tile memo keys; otherwise the flat kernel behind
+   the whole-product memo hook. *)
 let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     (p : Partition.t) =
   let tiled =
@@ -202,10 +199,9 @@ let split_heavy_s ~r ~s (p : Partition.t) =
     p.heavy_y;
   (s_light_of_heavy_y, s_heavy_of_heavy_y)
 
-(* Reusable per-worker merge scratch.  The guarded chunked loop keeps one
-   across chunks (stamp values are row ids, distinct across chunks, so
-   stale stamps can never collide); the parallel path allocates one per
-   worker as before. *)
+(* Per-worker merge scratch, kept across that worker's chunks (stamp
+   values are row ids, distinct across chunks, so stale stamps can never
+   collide). *)
 type merge_scratch = { stamps : int array; buf : Vec.t }
 
 let merge_scratch ~s =
@@ -217,11 +213,8 @@ let merge_scratch ~s =
    all deduplicated with one stamp vector.  Returns the number of pairs
    produced — the observed-output statistic guard checkpoints
    extrapolate from. *)
-let merge_range ?scratch ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
-    ~s_heavy_of_heavy_y ~rows lo hi =
-  let { stamps; buf } =
-    match scratch with Some sc -> sc | None -> merge_scratch ~s
-  in
+let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
+    ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows lo hi =
   let obs = Obs.recording () in
   let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
   for a = lo to hi - 1 do
@@ -275,51 +268,8 @@ let merge_range ?scratch ~r ~s ~(p : Partition.t) ~product ~s_light_of_heavy_y
   end;
   !produced
 
-let partitioned_project ?cancel ?tile ~phases ~domains ~strategy ~memo ~r ~s
-    (p : Partition.t) =
-  check_cancel cancel;
-  let product =
-    match strategy with
-    | Matrix ->
-      Some
-        (phase phases "heavy-mm" (fun () ->
-             heavy_bool_product ?cancel ~tile ~memo ~domains ~r ~s p))
-    | Combinatorial -> None
-  in
-  check_cancel cancel;
-  phase phases "light-merge" (fun () ->
-      Obs.span "two_path.light_merge" (fun () ->
-          let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
-          let nx = Relation.src_count r in
-          let rows = Array.make nx [||] in
-          let worker lo hi =
-            match cancel with
-            | None ->
-              ignore
-                (merge_range ~r ~s ~p ~product ~s_light_of_heavy_y
-                   ~s_heavy_of_heavy_y ~rows lo hi)
-            | Some c ->
-              let scratch = merge_scratch ~s in
-              let i = ref lo in
-              while !i < hi && not (Cancel.is_cancelled c) do
-                let j = min hi (!i + poll_rows) in
-                ignore
-                  (merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
-                     ~s_heavy_of_heavy_y ~rows !i j);
-                i := j
-              done
-          in
-          if domains <= 1 then worker 0 nx
-          else begin
-            let per = (nx + domains - 1) / domains in
-            Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains ~chunk:per
-              ~lo:0 ~hi:nx worker
-          end;
-          check_cancel cancel;
-          Pairs.of_rows_unchecked rows))
-
 (* ------------------------------------------------------------------ *)
-(* Guarded boolean evaluation (adaptive plan guards)                   *)
+(* Boolean evaluation driver                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* Matrix cells the partition would materialize (u·v + v·w + u·w) — the
@@ -330,8 +280,27 @@ let partition_cells (p : Partition.t) =
   and w = Array.length p.heavy_z in
   (u * v) + (v * w) + (u * w)
 
-(* Supervised execution of [plan0].  Checkpoints (all once per chunk or
-   phase, never per tuple):
+(* The statistics the initial plan sees: a guard's injected
+   misestimation, or the optimizer's own when there is no guard. *)
+let injected_stats g ~r ~s =
+  match g with
+  | None -> (None, None)
+  | Some g ->
+    let inj = Jp_adaptive.Guard.inject g in
+    ( Some (Jp_adaptive.Inject.out inj (Estimator.estimate ~r ~s)),
+      Some inj.Jp_adaptive.Inject.mm_factor )
+
+(* A time-budget checkpoint that only records its outcome: once the
+   matrices are built (or on the safe Wcoj path) nothing cheaper
+   remains, so a blown budget cannot change the plan. *)
+let note_budget g =
+  let module Guard = Jp_adaptive.Guard in
+  match Guard.check_budget g ~cells:0 with
+  | Guard.Degrade -> Guard.note_degrade g
+  | Guard.Continue | Guard.Replan -> ()
+
+(* Execution of [plan0], supervised by the guard [g] when present.
+   Checkpoints (all once per chunk or phase, never per tuple):
 
    - entry: a zero time budget degrades before any work;
    - Wcoj probe: after [probe_rows] rows, extrapolate |OUT| and re-plan if
@@ -346,37 +315,61 @@ let partition_cells (p : Partition.t) =
      budget and |OUT| extrapolation; a mid-merge re-plan resumes the new
      plan at the current row, keeping all finished rows.
 
+   Without a guard every checkpoint is skipped: a Wcoj plan is one
+   expansion of the whole x domain, whose result is the answer, and a
+   Partitioned plan is one partition, heavy product and chunked merge.
    Re-planning is always done with clean (un-injected) statistics and
    bounded by the guard's fuel, so the recursion terminates.  A cancel
-   token is polled at exactly these checkpoints. *)
-let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
-    ~s plan0 =
+   token is polled at these checkpoints, at phase boundaries and once
+   per merge chunk. *)
+let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
+    plan0 =
   let module Guard = Jp_adaptive.Guard in
-  let cfg = Guard.config g in
   let nx = Relation.src_count r in
   (* Effective chunk sizes: bounded by the config but scaled to the x
      domain, so dense datasets (few, large sets) still get a handful of
      checkpoints instead of finishing inside one chunk. *)
-  let check_chunk = max 64 (min cfg.Guard.check_every (nx / 8)) in
-  let probe = max 64 (min cfg.Guard.probe_rows (nx / 4)) in
-  let rows = Array.make nx [||] in
+  let check_chunk, probe =
+    match g with
+    | None -> (poll_rows, nx)
+    | Some g ->
+      let cfg = Guard.config g in
+      ( max 64 (min cfg.Guard.check_every (nx / 8)),
+        max 64 (min cfg.Guard.probe_rows (nx / 4)) )
+  in
+  let rows = lazy (Array.make nx [||]) in
+  let whole = ref None in
   let produced = ref 0 in
-  let scratch = lazy (merge_scratch ~s) in
   let strat = ref strategy in
+  (* A blown budget (time, or the partition's matrix [cells]) vetoes the
+     matrices: the heavy part runs through the combinatorial expansion,
+     which materializes nothing. *)
+  let veto_matrices g ~cells =
+    match Guard.check_budget g ~cells with
+    | Guard.Degrade ->
+      Guard.note_degrade g;
+      strat := Combinatorial
+    | Guard.Continue | Guard.Replan -> ()
+  in
   let expand_into lo hi =
     if hi > lo then
       phase phases "wcoj" (fun () ->
-          let xs = Array.init (hi - lo) (fun i -> lo + i) in
-          let out = Jp_wcoj.Expand.project ~domains ?cancel ~xs ~r ~s () in
-          for a = lo to hi - 1 do
-            let row = Pairs.row out a in
-            rows.(a) <- row;
-            produced := !produced + Array.length row
-          done)
+          if lo = 0 && hi = nx then
+            whole := Some (Jp_wcoj.Expand.project ~domains ?cancel ~r ~s ())
+          else begin
+            let xs = Array.init (hi - lo) (fun i -> lo + i) in
+            let out = Jp_wcoj.Expand.project ~domains ?cancel ~xs ~r ~s () in
+            let rows = Lazy.force rows in
+            for a = lo to hi - 1 do
+              let row = Pairs.row out a in
+              rows.(a) <- row;
+              produced := !produced + Array.length row
+            done
+          end)
   in
   let replan est_out =
     phase phases "replan" (fun () ->
-        Guard.note_replan g;
+        Option.iter Guard.note_replan g;
         Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ~est_out
           (Lazy.force prep) ())
   in
@@ -388,13 +381,12 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
   and run_wcoj plan lo =
     let probe_hi = min nx (lo + probe) in
     expand_into lo probe_hi;
-    if probe_hi < nx then begin
+    match g with
+    | Some g when probe_hi < nx -> (
       check_cancel cancel;
       (* Wcoj already is the safe path: a blown budget only marks the
          outcome — the remaining rows still have to be expanded. *)
-      (match Guard.check_budget g ~cells:0 with
-      | Guard.Degrade -> Guard.note_degrade g
-      | Guard.Continue | Guard.Replan -> ());
+      note_budget g;
       let obs_out = max 1 (!produced * nx / probe_hi) in
       match
         Guard.check_estimate g
@@ -419,49 +411,41 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
           Guard.note_replan g;
           run np probe_hi
         | _ -> expand_into probe_hi nx)
-      | Guard.Continue | Guard.Degrade -> expand_into probe_hi nx
-    end
+      | Guard.Continue | Guard.Degrade -> expand_into probe_hi nx)
+    | _ -> ()
   and run_partitioned plan ~d1 ~d2 lo =
     check_cancel cancel;
     let p =
       phase phases "partition" (fun () -> Partition.make ?cancel ~r ~s ~d1 ~d2 ())
     in
-    (match Guard.check_budget g ~cells:(partition_cells p) with
-    | Guard.Degrade ->
-      (* No room for the matrices: heavy part via the combinatorial
-         expansion, which materializes nothing. *)
-      Guard.note_degrade g;
-      strat := Combinatorial
-    | Guard.Continue | Guard.Replan -> ());
     let replan_on_cost =
-      !strat = Matrix && Guard.can_replan g
-      &&
-      let honest =
-        Optimizer.estimate_cost_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-          (Lazy.force prep) (Optimizer.Partitioned { d1; d2 })
-      in
-      Guard.check_estimate g ~est:plan.Optimizer.est_seconds ~observed:honest
-      = Guard.Replan
+      match g with
+      | None -> false
+      | Some g ->
+        veto_matrices g ~cells:(partition_cells p);
+        !strat = Matrix && Guard.can_replan g
+        &&
+        let honest =
+          Optimizer.estimate_cost_prepared ~domains
+            ~kind:Jp_matrix.Cost.Boolean (Lazy.force prep)
+            (Optimizer.Partitioned { d1; d2 })
+        in
+        Guard.check_estimate g ~est:plan.Optimizer.est_seconds ~observed:honest
+        = Guard.Replan
     in
-    if replan_on_cost then
-      run (replan (Estimator.sampled ~r ~s ())) lo
+    if replan_on_cost then run (replan (Estimator.sampled ~r ~s ())) lo
     else merge_partitioned plan ~p lo
   and merge_partitioned plan ~p lo =
+    (* Guard checkpoints (per output tile, per merge chunk) and the
+       mid-merge re-plan run only on the calling domain: worker domains
+       race past sequential checkpoints, so parallel runs keep only the
+       plan-time and pre-MM checks. *)
+    let caller_guard = if domains <= 1 then g else None in
+    check_cancel cancel;
     let product =
       match !strat with
       | Matrix ->
-        (* Guard checkpoints once per output tile, but only when the
-           tiles run on the calling domain — worker domains race past
-           sequential checkpoints (same rule as the chunked merge). *)
-        let checkpoint =
-          if domains > 1 then None
-          else
-            Some
-              (fun () ->
-                match Guard.check_budget g ~cells:0 with
-                | Guard.Degrade -> Guard.note_degrade g
-                | Guard.Continue | Guard.Replan -> ())
-        in
+        let checkpoint = Option.map (fun g () -> note_budget g) caller_guard in
         Some
           (phase phases "heavy-mm" (fun () ->
                heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r
@@ -469,168 +453,96 @@ let guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
       | Combinatorial -> None
     in
     check_cancel cancel;
-    let resume =
-      phase phases "light-merge" (fun () ->
-          Obs.span "two_path.light_merge" (fun () ->
-              let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
-              if domains > 1 then begin
-                (* Worker domains race past any sequential checkpoint, so
-                   parallel merges keep only the plan-time and pre-MM
-                   checks and run the range in one shot — unless a cancel
-                   token is present, in which case each worker sub-chunks
-                   and polls it. *)
-                let worker l h =
-                  match cancel with
-                  | None ->
-                    ignore
-                      (merge_range ~r ~s ~p ~product ~s_light_of_heavy_y
-                         ~s_heavy_of_heavy_y ~rows l h)
-                  | Some c ->
-                    let sc = merge_scratch ~s in
-                    let i = ref l in
-                    while !i < h && not (Cancel.is_cancelled c) do
-                      let j = min h (!i + check_chunk) in
-                      ignore
-                        (merge_range ~scratch:sc ~r ~s ~p ~product
-                           ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows !i j);
-                      i := j
-                    done
-                in
-                let per = (nx - lo + domains - 1) / domains in
-                Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains
-                  ~chunk:per ~lo ~hi:nx worker;
-                check_cancel cancel;
-                for a = lo to nx - 1 do
-                  produced := !produced + Array.length rows.(a)
-                done;
-                None
-              end
-              else begin
-                let resume = ref None in
-                let i = ref lo in
-                while !resume = None && !i < nx do
-                  check_cancel cancel;
-                  let hi = min nx (!i + check_chunk) in
-                  produced :=
-                    !produced
-                    + merge_range ~scratch:(Lazy.force scratch) ~r ~s ~p
-                        ~product ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows
-                        !i hi;
-                  i := hi;
-                  if !i < nx then begin
-                    (match Guard.check_budget g ~cells:0 with
-                    | Guard.Degrade ->
-                      (* Time blown mid-merge: the matrices are already
-                         built and nothing cheaper remains, so only the
-                         outcome is recorded. *)
-                      Guard.note_degrade g
-                    | Guard.Continue | Guard.Replan -> ());
-                    let obs_out = max 1 (!produced * nx / !i) in
-                    match
-                      Guard.check_estimate g
-                        ~est:(float_of_int plan.Optimizer.est_out)
-                        ~observed:(float_of_int obs_out)
-                    with
-                    | Guard.Replan ->
-                      let np = replan obs_out in
-                      if
-                        np.Optimizer.decision
-                        <> Optimizer.Partitioned { d1 = p.Partition.d1; d2 = p.Partition.d2 }
-                      then resume := Some (np, !i)
-                    | Guard.Continue | Guard.Degrade -> ()
-                  end
-                done;
-                !resume
-              end))
+    let rows = Lazy.force rows in
+    let resume = ref None in
+    (* The per-chunk checkpoint: [false] stops the merge, to resume the
+       re-planned query at row [j]. *)
+    let checkpoint g j =
+      note_budget g;
+      let obs_out = max 1 (!produced * nx / j) in
+      match
+        Guard.check_estimate g
+          ~est:(float_of_int plan.Optimizer.est_out)
+          ~observed:(float_of_int obs_out)
+      with
+      | Guard.Replan ->
+        let np = replan obs_out in
+        np.Optimizer.decision
+        = Optimizer.Partitioned { d1 = p.Partition.d1; d2 = p.Partition.d2 }
+        || begin
+          resume := Some (np, j);
+          false
+        end
+      | Guard.Continue | Guard.Degrade -> true
     in
-    match resume with Some (np, at) -> run np at | None -> ()
+    phase phases "light-merge" (fun () ->
+        Obs.span "two_path.light_merge" (fun () ->
+            let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
+            Jp_parallel.Pool.split_ranges ~domains ?cancel ~chunk:check_chunk ~lo
+              ~hi:nx
+              ~alloc:(fun () -> merge_scratch ~s)
+              (fun scratch i j ->
+                let n =
+                  merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
+                    ~s_heavy_of_heavy_y ~rows i j
+                in
+                match caller_guard with
+                | Some g ->
+                  produced := !produced + n;
+                  j >= nx || checkpoint g j
+                | None -> true)));
+    match !resume with Some (np, at) -> run np at | None -> ()
   in
   (* Entry checkpoint: a zero (or already blown) time budget forbids
      matrix plans outright. *)
-  check_cancel cancel;
-  (match Guard.check_budget g ~cells:0 with
-  | Guard.Degrade ->
-    Guard.note_degrade g;
-    strat := Combinatorial
-  | Guard.Continue | Guard.Replan -> ());
+  Option.iter
+    (fun g ->
+      check_cancel cancel;
+      veto_matrices g ~cells:0)
+    g;
   run plan0 0;
-  Pairs.of_rows_unchecked rows
+  match !whole with
+  | Some out -> out
+  | None -> Pairs.of_rows_unchecked (Lazy.force rows)
 
 let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
     ?tile ~r ~s () =
+  let module Guard = Jp_adaptive.Guard in
   let memo = match memo with Some m -> m | None -> no_memo in
-  match guard with
-  | Some gcfg ->
-    let module Guard = Jp_adaptive.Guard in
-    let module Inject = Jp_adaptive.Inject in
-    Obs.span "two_path.project" (fun () ->
-        let t0 = Jp_util.Timer.now () in
-        let phases = ref [] in
-        let g = Guard.start gcfg in
-        let inj = Guard.inject g in
-        (* Built at most once per invocation: the initial plan forces it,
-           and every later checkpoint re-plan reuses it. *)
-        let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
-        let plan =
-          match plan with
-          | Some p -> p
-          | None ->
-            phase phases "plan" (fun () ->
-                Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                  ~est_out:(Inject.out inj (Estimator.estimate ~r ~s))
-                  ~mm_cost_scale:inj.Inject.mm_factor (Lazy.force prep) ())
+  Obs.span "two_path.project" (fun () ->
+      let t0 = Jp_util.Timer.now () in
+      let phases = ref [] in
+      let g = Option.map Guard.start guard in
+      (* Built at most once per invocation: the initial plan forces it,
+         and every later checkpoint re-plan reuses it. *)
+      let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
+      let plan =
+        match plan with
+        | Some p -> p
+        | None ->
+          phase phases "plan" (fun () ->
+              let est_out, mm_cost_scale = injected_stats g ~r ~s in
+              Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
+                ?est_out ?mm_cost_scale (Lazy.force prep) ())
+      in
+      let result =
+        run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
+          ~s plan
+      in
+      if Obs.recording () then begin
+        let replanned, degraded =
+          match g with
+          | Some g -> (Guard.replanned g, Guard.degraded g)
+          | None -> (false, false)
         in
-        let result =
-          guarded_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo
-            ~phases ~r ~s plan
-        in
-        if Obs.recording () then
-          Obs.record_plan ~label:"two_path" ~replanned:(Guard.replanned g)
-            ~degraded:(Guard.degraded g)
-            ~decision:(Optimizer.decision_to_string plan.decision)
-            ~est_out:plan.est_out ~join_size:plan.join_size
-            ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
-            ~actual_seconds:(Jp_util.Timer.now () -. t0)
-            ~phases:(List.rev !phases) ();
-        result)
-  | None ->
-    Obs.span "two_path.project" (fun () ->
-        let t0 = Jp_util.Timer.now () in
-        let phases = ref [] in
-        let plan =
-          match plan with
-          | Some p -> p
-          | None ->
-            (* [Optimizer.plan] is [plan_prepared (prepare ...)], so
-               routing the prepare through the memo hook changes nothing
-               when the hook is the identity. *)
-            phase phases "plan" (fun () ->
-                Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                  (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s))
-                  ())
-        in
-        let result =
-          match plan.decision with
-          | Optimizer.Wcoj ->
-            phase phases "wcoj" (fun () ->
-                Jp_wcoj.Expand.project ~domains ?cancel ~r ~s ())
-          | Optimizer.Partitioned { d1; d2 } ->
-            check_cancel cancel;
-            let p =
-              phase phases "partition" (fun () ->
-                  Partition.make ?cancel ~r ~s ~d1 ~d2 ())
-            in
-            partitioned_project ?cancel ?tile ~phases ~domains ~strategy ~memo
-              ~r ~s p
-        in
-        if Obs.recording () then
-          Obs.record_plan ~label:"two_path"
-            ~decision:(Optimizer.decision_to_string plan.decision)
-            ~est_out:plan.est_out ~join_size:plan.join_size
-            ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
-            ~actual_seconds:(Jp_util.Timer.now () -. t0)
-            ~phases:(List.rev !phases) ();
-        result)
+        Obs.record_plan ~label:"two_path" ~replanned ~degraded
+          ~decision:(Optimizer.decision_to_string plan.decision)
+          ~est_out:plan.est_out ~join_size:plan.join_size
+          ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
+          ~actual_seconds:(Jp_util.Timer.now () -. t0)
+          ~phases:(List.rev !phases) ()
+      end;
+      result)
 
 let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
     ?tile ~r ~s () =
@@ -644,11 +556,11 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
 (* A pair's witnesses can be split between light and heavy y values, so
    counts from the expansion and from the count-matrix product are summed
    per pair before freezing the row.  Also returns whether the count
-   matrices were actually used — [false] means the cell cap (or an
-   explicit [~matrix:false]) forced the combinatorial fallback, which the
-   guarded path records as a degradation. *)
+   matrices were actually used — [false] means the cell cap forced the
+   combinatorial fallback, which the guarded path records as a
+   degradation. *)
 let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
-    ~d1 ~matrix ~cap () =
+    ~d1 ~cap () =
   let ny = max (Relation.dst_count r) (Relation.dst_count s) in
   let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
   let deg_sy y = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
@@ -671,7 +583,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   let hx = touched r and hz = touched s in
   let u = Array.length hx and v = Array.length heavy_y and w = Array.length hz in
   let fits = u * v <= cap && v * w <= cap && u * w <= cap in
-  let use_matrix = matrix && v > 0 && fits in
+  let use_matrix = v > 0 && fits in
   let x_index = Array.make (Relation.src_count r) (-1) in
   Array.iteri (fun i a -> x_index.(a) <- i) hx;
   let tiled =
@@ -799,25 +711,10 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               Obs.add Obs.C.stamp_hits (!presented - !misses)
             end
           in
-          let worker lo hi =
-            match cancel with
-            | None -> run_rows (count_scratch ()) lo hi
-            | Some c ->
-              let scratch = count_scratch () in
-              let i = ref lo in
-              while !i < hi && not (Cancel.is_cancelled c) do
-                let j = min hi (!i + poll_rows) in
-                run_rows scratch !i j;
-                i := j
-              done
-          in
-          if domains <= 1 then worker 0 nx
-          else begin
-            let per = (nx + domains - 1) / domains in
-            Jp_parallel.Pool.parallel_for_ranges ?cancel ~domains ~chunk:per
-              ~lo:0 ~hi:nx worker
-          end;
-          check_cancel cancel;
+          Jp_parallel.Pool.split_ranges ~domains ?cancel ~chunk:poll_rows ~lo:0
+            ~hi:nx ~alloc:count_scratch (fun scratch lo hi ->
+              run_rows scratch lo hi;
+              true);
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
 
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
@@ -827,29 +724,19 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
       let t0 = Jp_util.Timer.now () in
       check_cancel cancel;
       let phases = ref [] in
-      let g =
-        match guard with
-        | Some cfg -> Some (Jp_adaptive.Guard.start cfg)
-        | None -> None
-      in
+      let g = Option.map Jp_adaptive.Guard.start guard in
       let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
       let plan =
-        match (plan, g) with
-        | Some p, _ -> p
-        | None, None ->
-          (* Same plan as [Optimizer.plan_counts], which is
-             [plan_counts_prepared (prepare ...)]. *)
-          phase phases "plan" (fun () ->
-              Optimizer.plan_counts_prepared ~domains (Lazy.force prep) ())
-        | None, Some g ->
+        match plan with
+        | Some p -> p
+        | None ->
           (* plan_counts' thresholds do not depend on est_out (d2 is
-             pinned), so only the mm-cost component of the injection can
-             mislead it — and the honesty checkpoint below catches it. *)
-          let inj = Jp_adaptive.Guard.inject g in
+             pinned), so only the mm-cost component of a guard's injection
+             can mislead it — and the honesty checkpoint below catches
+             it. *)
           phase phases "plan" (fun () ->
-              Optimizer.plan_counts_prepared ~domains
-                ~est_out:(Jp_adaptive.Inject.out inj (Estimator.estimate ~r ~s))
-                ~mm_cost_scale:inj.Jp_adaptive.Inject.mm_factor
+              let est_out, mm_cost_scale = injected_stats g ~r ~s in
+              Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale
                 (Lazy.force prep) ())
       in
       (* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade
@@ -908,18 +795,12 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
           (* Same per-tile checkpoint rule as the boolean guarded path:
              only the calling domain may touch the guard. *)
           let checkpoint =
-            match g with
-            | Some g when domains <= 1 ->
-              Some
-                (fun () ->
-                  match Guard.check_budget g ~cells:0 with
-                  | Guard.Degrade -> Guard.note_degrade g
-                  | Guard.Continue | Guard.Replan -> ())
-            | _ -> None
+            if domains <= 1 then Option.map (fun g () -> note_budget g) g
+            else None
           in
           let result, used_matrix =
             counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains
-              ~memo ~r ~s ~d1 ~matrix:true ~cap ()
+              ~memo ~r ~s ~d1 ~cap ()
           in
           (match g with
           | Some g when not used_matrix -> Guard.note_degrade g

@@ -20,8 +20,9 @@
     All entry points take [?cancel]: a {!Jp_util.Cancel} token polled at
     phase boundaries and once per merge chunk (never per tuple), raising
     {!Jp_util.Cancel.Cancelled} promptly when the token is cancelled or
-    its deadline passes.  Without a token the code paths are exactly the
-    historical ones — the same guarantee style as [?guard]. *)
+    its deadline passes.  Every capability is optional in the same way:
+    an absent one is a no-op inside the same chunked loops, giving the
+    same results and the same work counters. *)
 
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
@@ -72,8 +73,7 @@ type memo = {
 
 val no_memo : memo
 (** Identity hooks: every builder runs.  [?memo] absent is exactly
-    [no_memo] — the same byte-identical-path guarantee as [?guard] and
-    [?cancel]. *)
+    [no_memo]. *)
 
 val heavy_product :
   ?domains:int ->
@@ -111,18 +111,19 @@ val project :
     re-plan with observed statistics — switching Wcoj ⇄ Partitioned
     mid-query while keeping rows already produced — or degrade matrix
     plans to the combinatorial heavy part when a budget is exhausted.
-    Without [guard] the code path is exactly the unguarded one.
+    Without [guard] the same driver runs with every checkpoint skipped:
+    no guard state, no injected estimate, and a Wcoj plan is a single
+    expansion of the whole x domain.
 
     With [tile], the heavy-part product streams through {!Jp_tile} —
     tiles as the work-stealing, memoization and memory-budget unit —
     whenever {!Jp_matrix.Cost.should_tile} agrees (operands at least
     [Cost.tile_min_bytes], or larger than the config's resident
     budget) or the config's [force] flag is set; results are bit-equal
-    either way, and without [tile] the
-    code path is exactly the historical one (same guarantee as
-    [?guard]/[?cancel]/[?memo]).  Guard checkpoints and cancel polls
-    fire once per tile, and with a [memo] the tiled product consults
-    the tile-granularity hooks instead of the whole-product one. *)
+    either way, and without [tile] the flat kernel runs.  Guard
+    checkpoints and cancel polls fire once per tile, and with a [memo]
+    the tiled product consults the tile-granularity hooks instead of
+    the whole-product one. *)
 
 val project_counts :
   ?domains:int ->

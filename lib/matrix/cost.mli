@@ -8,7 +8,7 @@
 
     - The {e machine-calibrated} estimator [M̂(u,v,w,co)] of Section 5
       (Table 1): measured per-operation constants for the actual kernels in
-      {!Dense}, {!Intmat} and {!Boolmat}, anchored on a small table of
+      {!Intmat} and {!Boolmat}, anchored on a small table of
       square multiplies and extrapolated by the cubic cost formula — valid
       because the kernels, like the paper's Eigen, implement the
       (optimized) cubic algorithm with predictable running time.

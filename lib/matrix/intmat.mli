@@ -4,9 +4,9 @@
     matrices *with multiplicities*: entry (a,c) of the product counts the
     witnesses y connecting a and c (used directly by set-similarity
     thresholds and ordered enumeration, Section 4).  Rows are unboxed
-    [int array]s; the multiply is the same blocked i-k-j saxpy as
-    {!Dense.mul}, skipping zero entries of the left matrix (heavy
-    adjacency matrices are still sparse-ish in practice). *)
+    [int array]s; the multiply is a blocked i-k-j saxpy, skipping zero
+    entries of the left matrix (heavy adjacency matrices are still
+    sparse-ish in practice). *)
 
 type t = private { data : int array array; rows : int; cols : int }
 

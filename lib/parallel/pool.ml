@@ -60,23 +60,32 @@ let reraise_failure failure =
 let check_cancel cancel =
   match cancel with Some c -> Cancel.check c | None -> ()
 
-(* Sequential degenerate case.  Without a token the body gets the whole
-   range in one call with zero overhead, exactly as before; with one the
-   range is chunked so the token is polled between chunks. *)
+(* The one chunked loop: [step i j] over consecutive sub-ranges of
+   [lo, hi) at most [chunk] long, polling [cancel] before each and
+   stopping once it is cancelled or [step] returns [false].  An absent
+   token is never polled.  Never raises on cancellation: the caller
+   follows with [check_cancel]. *)
+let chunked ?cancel ~chunk ~lo ~hi step =
+  let chunk = max 1 chunk in
+  let live () = match cancel with None -> true | Some c -> not (Cancel.is_cancelled c) in
+  let i = ref lo in
+  while !i < hi && live () && step !i (min hi (!i + chunk)) do
+    i := !i + chunk
+  done
+
+(* Sequential degenerate case.  Without a token the range is one chunk:
+   the body gets it in one call, and the chaos hook (a countdown over
+   token polls and chunk claims) is not consulted, as there is no claim
+   to fault.  With one the range is chunked so the token is polled
+   between chunks. *)
 let seq_ranges ?cancel ~chunk ~lo ~hi body =
-  match cancel with
-  | None ->
-    Jp_obs.incr Jp_obs.C.pool_tasks;
-    body lo hi
-  | Some c ->
-    let i = ref lo in
-    while !i < hi && not (Cancel.is_cancelled c) do
-      (Atomic.get fault_hook) ();
+  let chunk = match cancel with None -> hi - lo | Some _ -> chunk in
+  chunked ?cancel ~chunk ~lo ~hi (fun i j ->
+      if Option.is_some cancel then (Atomic.get fault_hook) ();
       Jp_obs.incr Jp_obs.C.pool_tasks;
-      body !i (min hi (!i + chunk));
-      i := !i + chunk
-    done;
-    Cancel.check c
+      body i j;
+      true);
+  check_cancel cancel
 
 let parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi body =
   if hi > lo then begin
@@ -119,69 +128,14 @@ let parallel_for ~domains ?chunk ?cancel ~lo ~hi body =
         body i
       done)
 
-let map_reduce ~domains ?chunk ?cancel ~lo ~hi ~combine ~init map =
-  if domains <= 1 then begin
-    match cancel with
-    | None ->
-      let acc = ref init in
-      for i = lo to hi - 1 do
-        acc := combine !acc (map i)
-      done;
-      !acc
-    | Some c ->
-      let chunk =
-        match chunk with Some k when k > 0 -> k | _ -> default_chunk ~domains ~lo ~hi
-      in
-      let acc = ref init in
-      let i = ref lo in
-      while !i < hi && not (Cancel.is_cancelled c) do
-        (Atomic.get fault_hook) ();
-        for j = !i to min hi (!i + chunk) - 1 do
-          acc := combine !acc (map j)
-        done;
-        i := !i + chunk
-      done;
-      Cancel.check c;
-      !acc
-  end
+let split_ranges ~domains ?cancel ~chunk ~lo ~hi ~alloc step =
+  let worker l h =
+    let scratch = alloc () in
+    chunked ?cancel ~chunk ~lo:l ~hi:h (step scratch)
+  in
+  if domains <= 1 || hi <= lo then worker lo hi
   else begin
-    let partials = Atomic.make [] in
-    let chunk =
-      match chunk with Some c when c > 0 -> c | _ -> default_chunk ~domains ~lo ~hi
-    in
-    let next = Atomic.make lo in
-    let stop = Atomic.make false in
-    let failure = Atomic.make None in
-    let worker () =
-      let local = ref init in
-      let continue = ref true in
-      while !continue && not (Atomic.get stop) do
-        let start = Atomic.fetch_and_add next chunk in
-        if start >= hi then continue := false
-        else begin
-          try
-            (Atomic.get fault_hook) ();
-            match cancel with
-            | Some c when Cancel.is_cancelled c -> continue := false
-            | _ ->
-              Jp_obs.incr Jp_obs.C.pool_tasks;
-              for i = start to min hi (start + chunk) - 1 do
-                local := combine !local (map i)
-              done
-          with e ->
-            record_failure ~stop ~failure ~index:start e
-              (Printexc.get_raw_backtrace ())
-        end
-      done;
-      (* lock-free push of the local result *)
-      let rec push () =
-        let old = Atomic.get partials in
-        if not (Atomic.compare_and_set partials old (!local :: old)) then push ()
-      in
-      push ()
-    in
-    run_workers ~domains ~stop ~failure worker;
-    reraise_failure failure;
-    check_cancel cancel;
-    List.fold_left combine init (Atomic.get partials)
-  end
+    let per = (hi - lo + domains - 1) / domains in
+    parallel_for_ranges ~domains ~chunk:per ?cancel ~lo ~hi worker
+  end;
+  check_cancel cancel

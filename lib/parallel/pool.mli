@@ -17,8 +17,8 @@
     chunk claim and stop claiming once it is cancelled; the call then
     raises {!Jp_util.Cancel.Cancelled} on the calling domain.  In the
     [domains <= 1] degenerate case the range is chunked so the token is
-    still polled between chunks.  Without a token the code paths are
-    exactly the historical ones. *)
+    still polled between chunks; without a token the whole range is one
+    chunk, one body call and one [pool.tasks] bump. *)
 
 module Cancel = Jp_util.Cancel
 
@@ -62,16 +62,22 @@ val parallel_for_ranges :
     [lo <= range_lo < range_hi <= hi].  Lets the body hoist per-chunk
     scratch allocations. *)
 
-val map_reduce :
+val split_ranges :
   domains:int ->
-  ?chunk:int ->
   ?cancel:Cancel.t ->
+  chunk:int ->
   lo:int ->
   hi:int ->
-  combine:('a -> 'a -> 'a) ->
-  init:'a ->
-  (int -> 'a) ->
-  'a
-(** Per-domain local folds combined at the end; [combine] must be
-    associative and [init] its identity.  The combination order is
-    unspecified. *)
+  alloc:(unit -> 's) ->
+  ('s -> int -> int -> bool) ->
+  unit
+(** Static split for engines with per-worker scratch: one contiguous
+    range of [lo, hi) per domain, each worker building its scratch once
+    with [alloc] and running [step scratch i j] over consecutive
+    sub-ranges of at most [chunk] indices.  [cancel] is polled before
+    every sub-range (workers stop gracefully; the call then raises
+    {!Jp_util.Cancel.Cancelled}); an absent token is never polled.  A
+    [step] returning [false] stops its worker early — meaningful only
+    with [domains <= 1], where the calling domain runs the whole range
+    without a pool task, so the step may touch caller state (guard
+    checkpoints, re-plans). *)

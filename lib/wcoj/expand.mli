@@ -17,7 +17,7 @@
 
     With [?cancel] the expansion polls the token every few thousand x's
     (per worker) and raises {!Jp_util.Cancel.Cancelled}; without it the
-    code path is exactly the historical one. *)
+    same chunked loop runs with every poll skipped. *)
 
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs

@@ -218,6 +218,103 @@ let test_plan_info () =
   Alcotest.(check bool) "count positive" true (Pairs.count pairs > 0);
   Alcotest.(check bool) "plan join size positive" true (plan.Optimizer.join_size > 0)
 
+(* An absent capability is a no-op: every engine runs the same chunked
+   loops with or without a cancel token, so a token that never fires
+   changes neither the answer nor any work counter.  [nx] exceeds the
+   4096-row poll chunk, so the token runs really are sub-chunked. *)
+let work_counters =
+  [
+    "mm.bool_word_ops";
+    "mm.count_word_ops";
+    "light.probes";
+    "dedup.stamp_hits";
+    "dedup.stamp_misses";
+    "sort.radix_bytes";
+    "pool.tasks";
+  ]
+
+let counter_deltas f =
+  let snapshot () =
+    let all = Jp_obs.counter_values () in
+    List.map
+      (fun name -> Option.value ~default:0 (List.assoc_opt name all))
+      work_counters
+  in
+  let before = snapshot () in
+  let x = f () in
+  (x, List.combine work_counters (List.map2 ( - ) (snapshot ()) before))
+
+let test_absent_capability_noop () =
+  let r = Gen.random_relation ~seed:61 ~nx:5000 ~ny:2000 ~edges:20_000 () in
+  let s = Gen.random_relation ~seed:62 ~nx:3000 ~ny:2000 ~edges:15_000 () in
+  let wcoj =
+    { (forced_plan 1 1) with Optimizer.decision = Optimizer.Wcoj }
+  in
+  let pairs = Pairs.equal and counted = Jp_relation.Counted_pairs.equal in
+  let boolean label ~busy ~strategy plan =
+    ( label,
+      busy,
+      fun cancel domains ->
+        `Pairs (Two_path.project ~domains ~strategy ~plan ?cancel ~r ~s ()) )
+  in
+  let engines =
+    [
+      boolean "mm partitioned" ~busy:"mm.bool_word_ops"
+        ~strategy:Two_path.Matrix (forced_plan 12 4);
+      boolean "mm wcoj" ~busy:"light.probes" ~strategy:Two_path.Matrix wcoj;
+      boolean "non-mm partitioned" ~busy:"light.probes"
+        ~strategy:Two_path.Combinatorial (forced_plan 12 4);
+      boolean "non-mm wcoj" ~busy:"light.probes"
+        ~strategy:Two_path.Combinatorial wcoj;
+      ( "counts",
+        "mm.count_word_ops",
+        fun cancel domains ->
+          `Counted
+            (Two_path.project_counts ~domains ~plan:(forced_plan 12 1) ?cancel
+               ~r ~s ()) );
+      ( "expand",
+        "light.probes",
+        fun cancel domains ->
+          `Pairs (Jp_wcoj.Expand.project ~domains ?cancel ~r ~s ()) );
+      ( "expand counts",
+        "light.probes",
+        fun cancel domains ->
+          `Counted (Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ()) );
+    ]
+  in
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (label, busy, run) ->
+          List.iter
+            (fun domains ->
+              let name = Printf.sprintf "%s, domains=%d" label domains in
+              let bare, bare_work = counter_deltas (fun () -> run None domains) in
+              let token = Jp_util.Cancel.create () in
+              let live, live_work =
+                counter_deltas (fun () -> run (Some token) domains)
+              in
+              let same =
+                match (bare, live) with
+                | `Pairs a, `Pairs b -> pairs a b
+                | `Counted a, `Counted b -> counted a b
+                | _ -> false
+              in
+              Alcotest.(check bool) (name ^ ": same result") true same;
+              Alcotest.(check (list (pair string int)))
+                (name ^ ": same work counters") bare_work live_work;
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: %s counted work" name busy)
+                true
+                (List.assoc busy bare_work > 0))
+            [ 1; 2 ])
+        engines)
+
 let suite =
   [
     Alcotest.test_case "partition classification" `Quick test_partition_classification;
@@ -237,4 +334,6 @@ let suite =
     Alcotest.test_case "optimizer dense partition" `Quick test_optimizer_picks_partition_on_dense;
     Alcotest.test_case "theoretical thresholds" `Quick test_theoretical_thresholds;
     Alcotest.test_case "plan info" `Quick test_plan_info;
+    Alcotest.test_case "absent capability is a no-op" `Quick
+      test_absent_capability_noop;
   ]

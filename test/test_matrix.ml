@@ -1,4 +1,3 @@
-module Dense = Jp_matrix.Dense
 module Intmat = Jp_matrix.Intmat
 module Boolmat = Jp_matrix.Boolmat
 module Cost = Jp_matrix.Cost
@@ -127,15 +126,6 @@ let test_boolmat_mul_mismatch () =
     (Invalid_argument "Boolmat.mul: dimension mismatch (2x3 . 5x4)") (fun () ->
       ignore (Boolmat.mul a b))
 
-let test_dense_mul () =
-  let a = Dense.of_arrays [| [| 1.0; 2.0 |]; [| 0.0; 3.0 |] |] in
-  let b = Dense.of_arrays [| [| 4.0; 0.0 |]; [| 1.0; 2.0 |] |] in
-  let c = Dense.mul a b in
-  Alcotest.(check (float 1e-9)) "c00" 6.0 (Dense.get c 0 0);
-  Alcotest.(check (float 1e-9)) "c01" 4.0 (Dense.get c 0 1);
-  Alcotest.(check (float 1e-9)) "c10" 3.0 (Dense.get c 1 0);
-  Alcotest.(check (float 1e-9)) "c11" 6.0 (Dense.get c 1 1)
-
 let test_lemma1 () =
   (* omega = 3: plain cubic. *)
   Alcotest.(check (float 1e-6)) "cubic" 8.0 (Cost.lemma1 ~u:2 ~v:2 ~w:2 ());
@@ -176,7 +166,6 @@ let suite =
     Alcotest.test_case "count product" `Quick test_count_product;
     Alcotest.test_case "count product parallel" `Quick test_count_product_parallel;
     Alcotest.test_case "count product mismatch" `Quick test_count_product_mismatch;
-    Alcotest.test_case "dense mul" `Quick test_dense_mul;
     Alcotest.test_case "lemma1" `Quick test_lemma1;
     Alcotest.test_case "mhat monotone" `Quick test_mhat_monotone;
   ]

@@ -28,19 +28,6 @@ let test_ranges_partition () =
       done);
   Alcotest.(check bool) "ranges cover exactly" true (Array.for_all (fun h -> h = 1) hits)
 
-let test_map_reduce () =
-  let n = 10_000 in
-  let total =
-    Pool.map_reduce ~domains:4 ~lo:0 ~hi:n ~combine:( + ) ~init:0 (fun i -> i)
-  in
-  Alcotest.(check int) "sum" (n * (n - 1) / 2) total
-
-let test_map_reduce_sequential () =
-  let total =
-    Pool.map_reduce ~domains:1 ~lo:1 ~hi:11 ~combine:( + ) ~init:0 (fun i -> i)
-  in
-  Alcotest.(check int) "sum 1..10" 55 total
-
 exception Boom
 
 let test_exception_propagates () =
@@ -78,12 +65,6 @@ let test_failure_lowest_index_wins () =
       Pool.parallel_for ~domains:2 ~chunk:1 ~lo:0 ~hi:1_000 (fun i ->
           if i = 10 then raise Boom_a;
           if i = 20 then raise Boom_b))
-
-let test_map_reduce_failure () =
-  Alcotest.check_raises "map_reduce re-raises" Boom_a (fun () ->
-      ignore
-        (Pool.map_reduce ~domains:2 ~chunk:1 ~lo:0 ~hi:1_000 ~combine:( + )
-           ~init:0 (fun i -> if i = 7 then raise Boom_a else i)))
 
 let test_cancel_precancelled () =
   let c = Cancel.create () in
@@ -127,24 +108,57 @@ let test_fault_hook_per_chunk () =
       Pool.parallel_for ~domains:1 ~chunk:50 ~cancel:c ~lo:0 ~hi:100 (fun _ -> ()));
   Alcotest.(check int) "hook consulted once per chunk" 2 !fired
 
+(* The domains:1 cadence that chaos seeds and the pool.* counters rely
+   on.  Without a token the body gets the whole range in one call: one
+   pool task, no fault-hook call.  With one, every chunk is one body
+   call, one task and one fault-hook call. *)
+let test_sequential_cadence () =
+  let fired = ref 0 and calls = ref [] in
+  let run ?cancel () =
+    fired := 0;
+    calls := [];
+    let before = Jp_obs.value Jp_obs.C.pool_tasks in
+    Pool.parallel_for_ranges ~domains:1 ~chunk:10 ?cancel ~lo:3 ~hi:95
+      (fun lo hi -> calls := (lo, hi) :: !calls);
+    Jp_obs.value Jp_obs.C.pool_tasks - before
+  in
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Pool.set_fault_hook (Some (fun () -> incr fired));
+  Fun.protect
+    ~finally:(fun () ->
+      Pool.set_fault_hook None;
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      let tasks = run () in
+      Alcotest.(check (list (pair int int))) "one call, whole range" [ (3, 95) ]
+        !calls;
+      Alcotest.(check int) "one task" 1 tasks;
+      Alcotest.(check int) "no fault-hook call" 0 !fired;
+      let tasks = run ~cancel:(Cancel.create ()) () in
+      let chunks = List.init 10 (fun k -> (3 + (10 * k), min 95 (13 + (10 * k)))) in
+      Alcotest.(check (list (pair int int))) "one call per chunk" chunks
+        (List.rev !calls);
+      Alcotest.(check int) "one task per chunk" 10 tasks;
+      Alcotest.(check int) "one fault-hook call per chunk" 10 !fired)
+
 let suite =
   [
     Alcotest.test_case "parallel_for covers" `Quick test_parallel_for_covers;
     Alcotest.test_case "parallel_for domains=1" `Quick test_parallel_for_sequential_degenerate;
     Alcotest.test_case "parallel_for empty" `Quick test_parallel_for_empty;
     Alcotest.test_case "ranges partition" `Quick test_ranges_partition;
-    Alcotest.test_case "map_reduce" `Quick test_map_reduce;
-    Alcotest.test_case "map_reduce sequential" `Quick test_map_reduce_sequential;
     Alcotest.test_case "exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "available cores" `Quick test_available_cores;
     Alcotest.test_case "stop flag prompt" `Quick test_stop_flag_prompt;
     Alcotest.test_case "lowest-index failure wins" `Quick
       test_failure_lowest_index_wins;
-    Alcotest.test_case "map_reduce failure" `Quick test_map_reduce_failure;
     Alcotest.test_case "pre-cancelled (seq)" `Quick test_cancel_precancelled;
     Alcotest.test_case "pre-cancelled (parallel)" `Quick
       test_cancel_precancelled_parallel;
     Alcotest.test_case "mid-run cancel chunk granular" `Quick
       test_cancel_mid_run_seq;
     Alcotest.test_case "fault hook per chunk" `Quick test_fault_hook_per_chunk;
+    Alcotest.test_case "sequential cadence" `Quick test_sequential_cadence;
   ]
