@@ -17,7 +17,6 @@ let two_path ?(dense_threshold = 62) ~r ~s () =
         let ys = Relation.adj_src r a in
         if Array.length ys = 0 then [||]
         else begin
-          Bitset.clear acc;
           Array.iter
             (fun y ->
               if y < Relation.dst_count s then
@@ -25,14 +24,8 @@ let two_path ?(dense_threshold = 62) ~r ~s () =
                 | Some bs -> Bitset.union_into ~dst:acc bs
                 | None -> Array.iter (fun z -> Bitset.set acc z) (Relation.adj_dst s y))
             ys;
-          let row = Array.make (Bitset.count acc) 0 in
-          let p = ref 0 in
-          Bitset.iter
-            (fun z ->
-              row.(!p) <- z;
-              incr p)
-            acc;
-          row
+          (* [drain] leaves [acc] empty for the next row. *)
+          Bitset.drain acc
         end)
   in
   Pairs.of_rows_unchecked rows

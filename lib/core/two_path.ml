@@ -4,6 +4,7 @@ module Counted_pairs = Jp_relation.Counted_pairs
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Vec = Jp_util.Vec
+module Bitset = Jp_util.Bitset
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
 
@@ -175,64 +176,140 @@ let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
     memo.memo_bool_product ~d1:p.Partition.d1 ~d2:p.Partition.d2 (fun () ->
         heavy_matrices ~domains ~r ~s p)
 
-(* For heavy y values, pre-split S's inverted list into its light-z and
-   heavy-z halves once (O(N)); the per-x merge loop would otherwise rescan
-   whole inverted lists just to filter them, degenerating to the full join
-   when few values are light. *)
-let split_heavy_s ~r ~s (p : Partition.t) =
+(* For heavy y values, pre-filter S's inverted list to its light-z
+   ([light] set) or heavy-z half once (O(N)); the per-x merge loop would
+   otherwise rescan whole inverted lists just to filter them,
+   degenerating to the full join when few values are light.  The matrix
+   strategy needs only the light half. *)
+let filter_heavy_s ~r ~s ~light (p : Partition.t) =
   let ny = max (Relation.dst_count r) (Relation.dst_count s) in
-  let s_light_of_heavy_y = Array.make ny [||] in
-  let s_heavy_of_heavy_y = Array.make ny [||] in
+  let out = Array.make ny [||] in
+  let keep c = (Relation.deg_src s c <= p.d2) = light in
   Array.iter
     (fun b ->
       if b < Relation.dst_count s then begin
         let zs = Relation.adj_dst s b in
-        let light = Vec.create () and heavy = Vec.create () in
-        Array.iter
-          (fun c ->
-            if Relation.deg_src s c <= p.d2 then Vec.push light c
-            else Vec.push heavy c)
-          zs;
-        s_light_of_heavy_y.(b) <- Vec.to_array light;
-        s_heavy_of_heavy_y.(b) <- Vec.to_array heavy
+        let n = Array.fold_left (fun n c -> if keep c then n + 1 else n) 0 zs in
+        if n = Array.length zs then out.(b) <- zs
+        else if n > 0 then begin
+          let kept = Array.make n 0 and k = ref 0 in
+          Array.iter
+            (fun c ->
+              if keep c then begin
+                kept.(!k) <- c;
+                incr k
+              end)
+            zs;
+          out.(b) <- kept
+        end
       end)
     p.heavy_y;
-  (s_light_of_heavy_y, s_heavy_of_heavy_y)
+  out
 
-(* Per-worker merge scratch, kept across that worker's chunks (stamp
-   values are row ids, distinct across chunks, so stale stamps can never
-   collide). *)
-type merge_scratch = { stamps : int array; buf : Vec.t }
+(* Where a merged row's heavy-heavy pairs come from: a row of the heavy
+   matrix product, or (the combinatorial strategy) an expansion over S's
+   heavy-z lists of heavy y. *)
+type heavy_part = Product of Boolmat.t | Expand of int array array
 
-let merge_scratch ~s =
-  { stamps = Array.make (Relation.src_count s) (-1); buf = Vec.create ~capacity:256 () }
+(* The per-worker row accumulator shared by both merges, kept across
+   that worker's chunks.  A row starts sparse: ids are deduplicated with
+   [stamps] (stamp values are row ids, distinct across chunks, so stale
+   stamps never collide) and collected in [buf], to be radix-sorted at
+   the end.  Once it holds [spill_at] distinct ids it spills: what [buf]
+   holds is set in [acc], a bitset over dom(z), and later ids go straight
+   to [acc]; the row is then written by one ascending [Bitset.drain],
+   which also leaves [acc] empty for the next row.  [spill_at] is about
+   one id per word of [acc], the density from which a scan of the words
+   costs less than sorting the row, and depends only on |dom(z)|. *)
+type row_acc = {
+  stamps : int array;
+  buf : Vec.t;
+  acc : Bitset.t;
+  spill_at : int;
+  mutable stamp : int;
+  mutable spilled : bool;
+}
+
+let row_acc ~s =
+  let nz = Relation.src_count s in
+  let acc = Bitset.create nz in
+  {
+    stamps = Array.make nz (-1);
+    buf = Vec.create ~capacity:256 ();
+    acc;
+    spill_at = max 32 (Bitset.word_count acc);
+    stamp = -1;
+    spilled = false;
+  }
+
+let start_row t a =
+  t.stamp <- a;
+  t.spilled <- false;
+  Vec.clear t.buf
+
+(* Marks [c] as seen in the current row; [true] on its first sight. *)
+let fresh t c =
+  Array.unsafe_get t.stamps c <> t.stamp
+  && begin
+    Array.unsafe_set t.stamps c t.stamp;
+    true
+  end
+
+(* Moves the row's ids so far into [acc]; later ids go straight there. *)
+let spill t =
+  t.spilled <- true;
+  Vec.iter (Bitset.set t.acc) t.buf
+
+(* Collects [c], known to be new to the current row. *)
+let collect t c =
+  if t.spilled then Bitset.set t.acc c
+  else begin
+    Vec.push t.buf c;
+    if Vec.length t.buf >= t.spill_at then spill t
+  end
+
+(* The current row's distinct ids, ascending. *)
+let finish_row t =
+  if t.spilled then Bitset.drain t.acc
+  else begin
+    Vec.sort_dedup t.buf;
+    Vec.to_array t.buf
+  end
+
+(* A row whose only contribution is product row [i]: [heavy_z] is
+   ascending, so the row's positions mapped through it already are the
+   sorted, distinct row. *)
+let product_row m i heavy_z =
+  let row = Bitset.to_array (Boolmat.row m i) in
+  Array.iteri (fun k l -> Array.unsafe_set row k (Array.unsafe_get heavy_z l)) row;
+  row
 
 (* The merged per-x loop over rows [lo, hi): light contributions from
    R- |><| S and R |><| S-, heavy contributions from the matrix product
    (or from a heavy-restricted expansion for the combinatorial strategy),
-   all deduplicated with one stamp vector.  Returns the number of pairs
-   produced — the observed-output statistic guard checkpoints
-   extrapolate from. *)
-let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
-    ~s_light_of_heavy_y ~s_heavy_of_heavy_y ~rows lo hi =
+   all deduplicated in one row accumulator; a spilled row skips the
+   stamp check.  Returns the number of pairs produced — the
+   observed-output statistic guard checkpoints extrapolate from. *)
+let merge_range ~scratch:t ~r ~s ~(p : Partition.t) ~heavy ~s_light_of_heavy_y
+    ~rows lo hi =
   let obs = Obs.recording () in
   let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
+  let scan zs =
+    let n = Array.length zs in
+    if obs then begin
+      light_scans := !light_scans + n;
+      presented := !presented + n
+    end;
+    let j = ref 0 in
+    while !j < n && not t.spilled do
+      let c = Array.unsafe_get zs !j in
+      if fresh t c then collect t c;
+      incr j
+    done;
+    if !j < n then Bitset.set_all t.acc zs ~pos:!j
+  in
   for a = lo to hi - 1 do
-    let stamp = a in
-    Vec.clear buf;
-    let push c =
-      if Array.unsafe_get stamps c <> stamp then begin
-        Array.unsafe_set stamps c stamp;
-        Vec.push buf c
-      end
-    in
-    let scan zs =
-      if obs then begin
-        light_scans := !light_scans + Array.length zs;
-        presented := !presented + Array.length zs
-      end;
-      Array.iter push zs
-    in
+    start_row t a;
     let a_light = Relation.deg_src r a <= p.d2 in
     Array.iter
       (fun b ->
@@ -243,23 +320,40 @@ let merge_range ~scratch:{ stamps; buf } ~r ~s ~(p : Partition.t) ~product
              joined here; heavy z is the matrix part's job *)
           scan s_light_of_heavy_y.(b))
       (Relation.adj_src r a);
-    (match product with
-    | Some m ->
-      let i = p.x_index.(a) in
-      if i >= 0 then begin
-        if obs then presented := !presented + Boolmat.row_nnz m i;
-        Boolmat.iter_row m i (fun l -> push p.heavy_z.(l))
-      end
-    | None ->
-      if not a_light then
-        Array.iter
-          (fun b ->
-            if not (Partition.is_light_y p b) then
-              scan s_heavy_of_heavy_y.(b))
-          (Relation.adj_src r a));
-    produced := !produced + Vec.length buf;
-    Vec.sort_dedup buf;
-    rows.(a) <- Vec.to_array buf
+    let row =
+      match heavy with
+      | Product m ->
+        let i = p.x_index.(a) in
+        if i < 0 then finish_row t
+        else begin
+          let nnz = Boolmat.row_nnz m i in
+          if obs then presented := !presented + nnz;
+          if Vec.length t.buf = 0 then product_row m i p.heavy_z
+          else begin
+            (* Spill before the product if it would take the row past
+               the spill point; otherwise no id of it can. *)
+            if (not t.spilled) && Vec.length t.buf + nnz >= t.spill_at then
+              spill t;
+            if t.spilled then
+              Bitset.scatter_into ~dst:t.acc (Boolmat.row m i) p.heavy_z
+            else
+              Boolmat.iter_row m i (fun l ->
+                  let c = p.heavy_z.(l) in
+                  if fresh t c then collect t c);
+            finish_row t
+          end
+        end
+      | Expand s_heavy_of_heavy_y ->
+        if not a_light then
+          Array.iter
+            (fun b ->
+              if not (Partition.is_light_y p b) then
+                scan s_heavy_of_heavy_y.(b))
+            (Relation.adj_src r a);
+        finish_row t
+    in
+    produced := !produced + Array.length row;
+    rows.(a) <- row
   done;
   if obs then begin
     Obs.add Obs.C.light_probes !light_scans;
@@ -477,14 +571,19 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
     in
     phase phases "light-merge" (fun () ->
         Obs.span "two_path.light_merge" (fun () ->
-            let s_light_of_heavy_y, s_heavy_of_heavy_y = split_heavy_s ~r ~s p in
+            let s_light_of_heavy_y = filter_heavy_s ~r ~s ~light:true p in
+            let heavy =
+              match product with
+              | Some m -> Product m
+              | None -> Expand (filter_heavy_s ~r ~s ~light:false p)
+            in
             Jp_parallel.Pool.split_ranges ~domains ?cancel ~chunk:check_chunk ~lo
               ~hi:nx
-              ~alloc:(fun () -> merge_scratch ~s)
+              ~alloc:(fun () -> row_acc ~s)
               (fun scratch i j ->
                 let n =
-                  merge_range ~scratch ~r ~s ~p ~product ~s_light_of_heavy_y
-                    ~s_heavy_of_heavy_y ~rows i j
+                  merge_range ~scratch ~r ~s ~p ~heavy ~s_light_of_heavy_y
+                    ~rows i j
                 in
                 match caller_guard with
                 | Some g ->
@@ -658,23 +757,21 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
           let nz = Relation.src_count s in
-          let count_scratch () =
-            (Array.make nz (-1), Array.make nz 0, Vec.create ~capacity:256 ())
-          in
-          let run_rows (stamps, counts, buf) lo hi =
+          let count_scratch () = (row_acc ~s, Array.make nz 0) in
+          let run_rows (t, counts) lo hi =
             let obs = Obs.recording () in
             let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
+            (* Counts need the stamp check even on a spilled row: it tells
+               a first witness from a repeated one. *)
+            let bump c k =
+              if fresh t c then begin
+                Array.unsafe_set counts c k;
+                collect t c
+              end
+              else Array.unsafe_set counts c (Array.unsafe_get counts c + k)
+            in
             for a = lo to hi - 1 do
-              let stamp = a in
-              Vec.clear buf;
-              let bump c k =
-                if Array.unsafe_get stamps c <> stamp then begin
-                  Array.unsafe_set stamps c stamp;
-                  Array.unsafe_set counts c k;
-                  Vec.push buf c
-                end
-                else Array.unsafe_set counts c (Array.unsafe_get counts c + k)
-              in
+              start_row t a;
               Array.iter
                 (fun b ->
                   if treat_all_light || light_y.(b) then begin
@@ -699,9 +796,8 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                       end)
                     hz
               | None -> ());
-              if obs then misses := !misses + Vec.length buf;
-              Vec.sort_dedup buf;
-              let zs = Vec.to_array buf in
+              let zs = finish_row t in
+              if obs then misses := !misses + Array.length zs;
               let cs = Array.map (fun c -> counts.(c)) zs in
               rows.(a) <- (zs, cs)
             done;

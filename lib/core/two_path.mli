@@ -10,7 +10,10 @@
       adjacency matrices of R⁺ and S⁺;
     + the parts are merged with per-x deduplication (a pair can be
       discovered both by a light witness and by the matrix, so the union
-      is not disjoint — the merge handles it).
+      is not disjoint — the merge handles it).  A sparse row is
+      deduplicated with a stamp vector and radix-sorted; a dense one
+      (about one id per 62-bit word of dom(z)) is collected in a bitset
+      over dom(z) and read off in ascending order, with no sort.
 
     [Combinatorial] replaces step 2 with the same stamp-vector expansion
     restricted to heavy tuples: that is the paper's {b Non-MMJoin}

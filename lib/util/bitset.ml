@@ -25,6 +25,17 @@ let unset t i =
   let w = i / bits_per_word and b = i mod bits_per_word in
   t.words.(w) <- t.words.(w) land lnot (1 lsl b)
 
+let set_all t a ~pos =
+  if pos < 0 then invalid_arg "Bitset.set_all: negative start";
+  let words = t.words in
+  for k = pos to Array.length a - 1 do
+    let i = Array.unsafe_get a k in
+    check t i;
+    let w = i / bits_per_word in
+    Array.unsafe_set words w
+      (Array.unsafe_get words w lor (1 lsl (i - (w * bits_per_word))))
+  done
+
 let mem t i =
   check t i;
   let w = i / bits_per_word and b = i mod bits_per_word in
@@ -110,15 +121,68 @@ let inter_count a b =
   done;
   !c
 
+(* Position of the lowest set bit of a non-zero word.  Its isolated bit
+   [2^b] (b < 62) is looked up by its residue mod 67: 2 is a primitive
+   root mod 67, so the 62 powers have distinct residues.  A division by
+   a constant and one load: fewer dependent operations than the popcount
+   of [2^b - 1]. *)
+let bit_of_residue =
+  let t = Array.make 67 0 in
+  for b = 0 to bits_per_word - 1 do
+    t.((1 lsl b) mod 67) <- b
+  done;
+  t
+
+let lowest_bit word = Array.unsafe_get bit_of_residue ((word land -word) mod 67)
+
 let iter f t =
   for w = 0 to Array.length t.words - 1 do
     let word = ref (Array.unsafe_get t.words w) in
     let base = w * bits_per_word in
     while !word <> 0 do
-      let low = !word land - !word in
-      (* log2 of a single set bit via popcount of (low - 1) *)
-      let b = popcount (low - 1) in
-      f (base + b);
+      f (base + lowest_bit !word);
+      word := !word land (!word - 1)
+    done
+  done
+
+(* Two passes over the words: a popcount pass sizes the output exactly,
+   then one ascending scan writes every set position, zeroing each word
+   behind it when [clear] is set. *)
+let positions ~clear t =
+  let words = t.words in
+  let out = Array.make (count t) 0 in
+  let k = ref 0 in
+  for w = 0 to Array.length words - 1 do
+    let word = ref (Array.unsafe_get words w) in
+    if !word <> 0 then begin
+      if clear then Array.unsafe_set words w 0;
+      let base = w * bits_per_word in
+      while !word <> 0 do
+        Array.unsafe_set out !k (base + lowest_bit !word);
+        incr k;
+        word := !word land (!word - 1)
+      done
+    end
+  done;
+  out
+
+let to_array t = positions ~clear:false t
+
+let drain t = positions ~clear:true t
+
+let scatter_into ~dst src map =
+  if Array.length map < src.width then
+    invalid_arg "Bitset.scatter_into: map narrower than source";
+  let d = dst.words and s = src.words in
+  for w = 0 to Array.length s - 1 do
+    let word = ref (Array.unsafe_get s w) in
+    let base = w * bits_per_word in
+    while !word <> 0 do
+      let i = Array.unsafe_get map (base + lowest_bit !word) in
+      check dst i;
+      let dw = i / bits_per_word in
+      Array.unsafe_set d dw
+        (Array.unsafe_get d dw lor (1 lsl (i - (dw * bits_per_word))));
       word := !word land (!word - 1)
     done
   done
@@ -130,7 +194,7 @@ let to_list t =
 
 let of_sorted_array n positions =
   let t = create n in
-  Array.iter (fun i -> set t i) positions;
+  set_all t positions ~pos:0;
   t
 
 let copy t = { words = Array.copy t.words; width = t.width }

@@ -21,6 +21,11 @@ val create : int -> t
 
 val set : t -> int -> unit
 
+val set_all : t -> int array -> pos:int -> unit
+(** [set_all t a ~pos] sets every position [a.(pos)], ...,
+    [a.(length a - 1)]: the bulk [set] of a row accumulator taking in
+    the rest of an inverted list. *)
+
 val unset : t -> int -> unit
 
 val mem : t -> int -> bool
@@ -51,6 +56,22 @@ val inter_count : t -> t -> int
 
 val iter : (int -> unit) -> t -> unit
 (** [iter f t] applies [f] to every set position in increasing order. *)
+
+val scatter_into : dst:t -> t -> int array -> unit
+(** [scatter_into ~dst src map] sets [map.(l)] in [dst] for every set
+    position [l] of [src] ([map] covers [width src]): ORs a matrix row
+    whose columns index a subset of [dst]'s domain, such as a heavy
+    product row over the heavy z values, into a row over the whole
+    domain. *)
+
+val to_array : t -> int array
+(** The set positions in increasing order, as an array of exactly
+    [count t] elements. *)
+
+val drain : t -> int array
+(** [drain t] is [to_array t], and leaves [t] empty.  One scan of the
+    words does both, so an accumulator bitset can collect one output
+    row, be drained into that row, and be reused for the next. *)
 
 val to_list : t -> int list
 

@@ -60,7 +60,7 @@ let forced_plan d1 d2 =
     est_seconds = 0.0;
   }
 
-let exhaustive_threshold_check ~r ~s =
+let exhaustive_threshold_check ?(domains = 1) ~r ~s () =
   (* Algorithm 1 must be correct for EVERY threshold choice, matrix or
      combinatorial heavy strategy; optimality is the optimizer's problem. *)
   let expect = Gen.brute_two_path ~r ~s in
@@ -69,9 +69,10 @@ let exhaustive_threshold_check ~r ~s =
       List.iter
         (fun strategy ->
           let got =
-            Two_path.project ~strategy ~plan:(forced_plan d1 d2) ~r ~s ()
+            Two_path.project ~domains ~strategy ~plan:(forced_plan d1 d2) ~r ~s
+              ()
           in
-          let label = Printf.sprintf "d1=%d d2=%d" d1 d2 in
+          let label = Printf.sprintf "d1=%d d2=%d domains=%d" d1 d2 domains in
           check_pairs label expect (Gen.pairs_to_list got))
         [ Two_path.Matrix; Two_path.Combinatorial ])
     [ (1, 1); (1, 3); (2, 2); (3, 1); (5, 5); (100, 100) ]
@@ -79,16 +80,71 @@ let exhaustive_threshold_check ~r ~s =
 let test_two_path_all_thresholds_uniform () =
   let r = Gen.random_relation ~seed:31 ~nx:25 ~ny:18 ~edges:130 () in
   let s = Gen.random_relation ~seed:32 ~nx:22 ~ny:18 ~edges:110 () in
-  exhaustive_threshold_check ~r ~s
+  exhaustive_threshold_check ~r ~s ()
 
 let test_two_path_all_thresholds_skewed () =
   let r = Gen.skewed_relation ~seed:33 ~nx:30 ~ny:25 ~edges:200 () in
   let s = Gen.skewed_relation ~seed:34 ~nx:28 ~ny:25 ~edges:180 () in
-  exhaustive_threshold_check ~r ~s
+  exhaustive_threshold_check ~r ~s ()
 
 let test_two_path_self_join () =
   let r = Gen.skewed_relation ~seed:35 ~nx:30 ~ny:30 ~edges:250 () in
-  exhaustive_threshold_check ~r ~s:r
+  exhaustive_threshold_check ~r ~s:r ()
+
+(* A dense instance for the merge's row accumulator.  dom(z) = 240, so
+   a row spills to the bitset at 32 distinct ids.  S has 20 dense y
+   (60-wide windows of z, every z in five of them), 40 two-z sparse y
+   and three y of exactly 31, 32 and 33 z.  R has light rows of 2 ids
+   (x < 20), rows over three dense y (product-only once those are
+   heavy), rows over two dense y and a y no other x uses (mixed: light
+   and product), and rows straddling the spill point.  At d1 = d2 = 1
+   the rows are 23 light-only, 23 product-only and 20 mixed; 44 of the
+   66 rows reach the spill point, 22 do not. *)
+let spill_instance () =
+  let nz = 240 in
+  let s = ref [] and r = ref [] in
+  for k = 0 to 19 do
+    for d = 0 to 59 do
+      s := ((12 * k + d) mod nz, k) :: !s
+    done
+  done;
+  for j = 0 to 39 do
+    s := ((j * 11) mod nz, 20 + j) :: (((j * 11) + 5) mod nz, 20 + j) :: !s
+  done;
+  List.iteri
+    (fun i m ->
+      for d = 0 to m - 1 do
+        s := (((37 * i) + d) mod nz, 60 + i) :: !s
+      done)
+    [ 31; 32; 33 ];
+  for x = 0 to 19 do
+    r := (x, 20 + x) :: !r
+  done;
+  for x = 20 to 39 do
+    let k = x - 20 in
+    r := (x, k) :: (x, (k + 7) mod 20) :: (x, (k + 13) mod 20) :: !r
+  done;
+  for x = 40 to 59 do
+    let k = x - 40 in
+    r := (x, k) :: (x, (k + 3) mod 20) :: (x, 40 + k) :: !r
+  done;
+  for i = 0 to 2 do
+    r := (60 + i, 60 + i) :: (63 + i, 60 + i) :: (63 + i, 20 + i) :: !r
+  done;
+  (Relation.of_edges (Array.of_list !r), Relation.of_edges (Array.of_list !s))
+
+let test_two_path_spill_rows () =
+  let r, s = spill_instance () in
+  Alcotest.(check int) "dom(z)" 240 (Relation.src_count s);
+  let sizes =
+    List.init (Relation.src_count r) (fun x ->
+        List.length (List.filter (fun (a, _) -> a = x) (Gen.brute_two_path ~r ~s)))
+  in
+  Alcotest.(check bool) "rows on both sides of the spill point" true
+    (List.exists (fun n -> n >= 32) sizes
+    && List.exists (fun n -> n > 0 && n < 32) sizes);
+  exhaustive_threshold_check ~r ~s ();
+  exhaustive_threshold_check ~domains:2 ~r ~s ()
 
 let test_two_path_planned () =
   let r = Gen.skewed_relation ~seed:36 ~nx:50 ~ny:40 ~edges:600 () in
@@ -128,6 +184,10 @@ let counts_threshold_check ~r ~s =
 let test_counts_all_thresholds () =
   let r = Gen.skewed_relation ~seed:41 ~nx:25 ~ny:20 ~edges:160 () in
   let s = Gen.skewed_relation ~seed:42 ~nx:24 ~ny:20 ~edges:150 () in
+  counts_threshold_check ~r ~s
+
+let test_counts_spill_rows () =
+  let r, s = spill_instance () in
   counts_threshold_check ~r ~s
 
 let test_counts_cap_fallback () =
@@ -244,6 +304,71 @@ let counter_deltas f =
   let x = f () in
   (x, List.combine work_counters (List.map2 ( - ) (snapshot ()) before))
 
+(* The row accumulator changes how rows are finalized, never what the
+   merge counts: [light.probes] and [dedup.*] (presented minus produced)
+   are pinned to the values a stamp-only merge gives on the spill
+   instance.  Its big rows are written from the bitset or straight from
+   the product and its small ones are insertion-sorted, so nothing is
+   radix-sorted. *)
+let test_merge_counters_pinned () =
+  let r, s = spill_instance () in
+  let cases =
+    [
+      ( "mm d1=d2=2",
+        (fun domains ->
+          ignore (Two_path.project ~domains ~plan:(forced_plan 2 2) ~r ~s ())),
+        (278, 2, 5796) );
+      ( "all light d1=d2=5",
+        (fun domains ->
+          ignore (Two_path.project ~domains ~plan:(forced_plan 5 5) ~r ~s ())),
+        (6278, 482, 5796) );
+      ( "counts d1=2",
+        (fun domains ->
+          ignore
+            (Two_path.project_counts ~domains ~plan:(forced_plan 2 1) ~r ~s ())),
+        (278, 2, 5796) );
+    ]
+  in
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (label, run, (probes, hits, misses)) ->
+          List.iter
+            (fun domains ->
+              let (), work = counter_deltas (fun () -> run domains) in
+              let name = Printf.sprintf "%s, domains=%d" label domains in
+              Alcotest.(check (list int))
+                (name ^ ": probes, stamp hits, stamp misses")
+                [ probes; hits; misses ]
+                (List.map
+                   (fun c -> List.assoc c work)
+                   [ "light.probes"; "dedup.stamp_hits"; "dedup.stamp_misses" ]);
+              Alcotest.(check int) (name ^ ": no radix sort") 0
+                (List.assoc "sort.radix_bytes" work))
+            [ 1; 2 ])
+        cases;
+      (* A row that never reaches the spill point keeps the stamp + radix
+         path: with dom(z) = 2480 the spill point is 41 ids, and a
+         36-id row is past the insertion-sort cutoff. *)
+      let r = Relation.of_edges [| (0, 0) |] in
+      let s =
+        Relation.of_edges ~src_count:2480
+          (Array.init 36 (fun i -> ((i * 67) + 30, 0)))
+      in
+      Alcotest.(check int) "dom(z)" 2480 (Relation.src_count s);
+      let got, work =
+        counter_deltas (fun () ->
+            Two_path.project ~plan:(forced_plan 5 5) ~r ~s ())
+      in
+      check_pairs "sparse row" (Gen.brute_two_path ~r ~s) (Gen.pairs_to_list got);
+      Alcotest.(check bool) "sparse row is radix-sorted" true
+        (List.assoc "sort.radix_bytes" work > 0))
+
 let test_absent_capability_noop () =
   let r = Gen.random_relation ~seed:61 ~nx:5000 ~ny:2000 ~edges:20_000 () in
   let s = Gen.random_relation ~seed:62 ~nx:3000 ~ny:2000 ~edges:15_000 () in
@@ -322,10 +447,12 @@ let suite =
     Alcotest.test_case "two-path thresholds uniform" `Quick test_two_path_all_thresholds_uniform;
     Alcotest.test_case "two-path thresholds skewed" `Quick test_two_path_all_thresholds_skewed;
     Alcotest.test_case "two-path self join" `Quick test_two_path_self_join;
+    Alcotest.test_case "two-path spill rows" `Quick test_two_path_spill_rows;
     Alcotest.test_case "two-path planned" `Quick test_two_path_planned;
     Alcotest.test_case "two-path parallel" `Quick test_two_path_parallel;
     QCheck_alcotest.to_alcotest prop_two_path_random;
     Alcotest.test_case "counts thresholds" `Quick test_counts_all_thresholds;
+    Alcotest.test_case "counts spill rows" `Quick test_counts_spill_rows;
     Alcotest.test_case "counts cap fallback" `Quick test_counts_cap_fallback;
     Alcotest.test_case "counts planned" `Quick test_counts_planned;
     Alcotest.test_case "estimator bounds" `Quick test_estimator_bounds;
@@ -334,6 +461,7 @@ let suite =
     Alcotest.test_case "optimizer dense partition" `Quick test_optimizer_picks_partition_on_dense;
     Alcotest.test_case "theoretical thresholds" `Quick test_theoretical_thresholds;
     Alcotest.test_case "plan info" `Quick test_plan_info;
+    Alcotest.test_case "merge counters pinned" `Quick test_merge_counters_pinned;
     Alcotest.test_case "absent capability is a no-op" `Quick
       test_absent_capability_noop;
   ]

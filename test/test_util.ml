@@ -51,6 +51,47 @@ let test_bitset_union_into_at () =
     (Invalid_argument "Bitset.union_into_at: range out of bounds") (fun () ->
       Bitset.union_into_at ~dst:dst2 231 src)
 
+let test_bitset_drain () =
+  let drained b = Array.to_list (Bitset.drain b) in
+  let empty = Bitset.create 0 in
+  check "empty width" [] (drained empty);
+  let b = Bitset.create 200 in
+  check "nothing set" [] (drained b);
+  (* 61 and 62 straddle the first 62-bit word boundary; 199 sits in the
+     last, partial word (200 is not a multiple of 62). *)
+  List.iter (Bitset.set b) [ 199; 62; 0; 61; 124; 123 ];
+  let row = Bitset.drain b in
+  Alcotest.(check int) "exact size" 6 (Array.length row);
+  check "ascending" [ 0; 61; 62; 123; 124; 199 ] (Array.to_list row);
+  Alcotest.(check bool) "empty afterwards" true (Bitset.is_empty b);
+  Alcotest.(check int) "count afterwards" 0 (Bitset.count b);
+  (* Reusable as an accumulator: a second round sees only its own bits. *)
+  Bitset.set b 5;
+  check "reused" [ 5 ] (drained b)
+
+let test_bitset_bulk () =
+  let b = Bitset.create 130 in
+  Bitset.set_all b [| 7; 129; 0; 62; 61 |] ~pos:2;
+  check "set_all from pos" [ 0; 61; 62 ] (Bitset.to_list b);
+  Alcotest.check_raises "set_all oob"
+    (Invalid_argument "Bitset: index out of bounds") (fun () ->
+      Bitset.set_all b [| 1; 130 |] ~pos:0);
+  Alcotest.check_raises "set_all negative start"
+    (Invalid_argument "Bitset.set_all: negative start") (fun () ->
+      Bitset.set_all b [| 1 |] ~pos:(-1));
+  check "to_array keeps the set" [ 0; 1; 61; 62 ]
+    (Array.to_list (Bitset.to_array b));
+  Alcotest.(check int) "to_array non-destructive" 4 (Bitset.count b);
+  (* A 3-column source whose columns stand for ids 5, 70 and 129. *)
+  let src = Bitset.of_sorted_array 3 [| 0; 2 |] in
+  let dst = Bitset.create 130 in
+  Bitset.set dst 70;
+  Bitset.scatter_into ~dst src [| 5; 70; 129 |];
+  check "scatter_into" [ 5; 70; 129 ] (Bitset.to_list dst);
+  Alcotest.check_raises "scatter_into narrow map"
+    (Invalid_argument "Bitset.scatter_into: map narrower than source")
+    (fun () -> Bitset.scatter_into ~dst src [| 5; 70 |])
+
 let prop_union_into_at =
   QCheck.Test.make ~name:"union_into_at = shifted set union" ~count:300
     QCheck.(
@@ -251,6 +292,8 @@ let suite =
     Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
     Alcotest.test_case "bitset ops" `Quick test_bitset_ops;
     Alcotest.test_case "bitset union_into_at" `Quick test_bitset_union_into_at;
+    Alcotest.test_case "bitset drain" `Quick test_bitset_drain;
+    Alcotest.test_case "bitset bulk set and scatter" `Quick test_bitset_bulk;
     QCheck_alcotest.to_alcotest prop_union_into_at;
     QCheck_alcotest.to_alcotest prop_bitset_matches_model;
     QCheck_alcotest.to_alcotest prop_intersect;
