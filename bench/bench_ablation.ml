@@ -887,10 +887,3 @@ let tile cfg =
     "operands exceed the resident cap; the tiled kernel streams (evict +";
   Bench_common.note "rebuild) and must return the flat kernel's exact matrix."
 
-let all cfg =
-  dedup cfg;
-  kernels cfg;
-  sorts cfg;
-  thresholds cfg;
-  estimators cfg;
-  dynamic cfg

@@ -26,7 +26,12 @@ let experiments =
     ("FIG7", Bench_scj.fig7);
     ("FIG8", Bench_ssj.fig8);
     ("EX4", Bench_join.example4);
-    ("ABL", Bench_ablation.all);
+    ("ABL-DEDUP", Bench_ablation.dedup);
+    ("ABL-KERNEL", Bench_ablation.kernels);
+    ("ABL-SORT", Bench_ablation.sorts);
+    ("ABL-THRESH", Bench_ablation.thresholds);
+    ("ABL-EST", Bench_ablation.estimators);
+    ("ABL-DYNAMIC", Bench_ablation.dynamic);
     ("ABL-GUARD", Bench_ablation.guard);
     ("ABL-CHAOS", Bench_ablation.chaos);
     ("ABL-CACHE", Bench_ablation.semantic_cache);

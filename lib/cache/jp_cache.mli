@@ -123,9 +123,8 @@ val pp_stats : Format.formatter -> stats -> unit
 (** {1 Typed views used by the engines} *)
 
 val prepared : t -> r:Relation.t -> s:Relation.t -> Joinproj.Optimizer.prepared
-(** L1: cached [Optimizer.prepare ~r ~s].  The value is sealed
-    ({!Joinproj.Optimizer.seal_prepared}) before publication so worker
-    domains never race on its lazy component. *)
+(** L1: cached [Optimizer.prepare ~r ~s].  A prepared value is immutable
+    once built, so worker domains share it without synchronization. *)
 
 val two_path_memo :
   t -> r:Relation.t -> s:Relation.t -> Joinproj.Two_path.memo

@@ -9,17 +9,24 @@ let active_src r =
 
 let join_size ~r ~s = Relation.join_size_on_dst [ r; s ]
 
-let bounds ~r ~s =
-  let out_join = join_size ~r ~s in
-  let dom_x = active_src r and dom_z = active_src s in
-  let n = max 1 (max (Relation.size r) (Relation.size s)) in
-  let ratio = out_join / n in
+let sandwich ~join_size ~dom_x ~dom_z ~n =
+  let n = max 1 n in
+  let ratio = join_size / n in
   let lower = max (max dom_x dom_z) (ratio * ratio) in
-  let upper = min (dom_x * dom_z) out_join in
+  let upper = min (dom_x * dom_z) join_size in
   (* Degenerate inputs can invert the sandwich; keep it consistent. *)
   let upper = max upper 1 in
   let lower = max 1 (min lower upper) in
   (lower, upper)
+
+let geometric_mean (lower, upper) =
+  let g = sqrt (float_of_int lower *. float_of_int upper) in
+  max lower (min upper (int_of_float g))
+
+let bounds ~r ~s =
+  sandwich ~join_size:(join_size ~r ~s) ~dom_x:(active_src r)
+    ~dom_z:(active_src s)
+    ~n:(max (Relation.size r) (Relation.size s))
 
 let sampled ?(seed = 0x5EED) ?(sample = 64) ~r ~s () =
   let lower, upper = bounds ~r ~s in
@@ -52,7 +59,4 @@ let sampled ?(seed = 0x5EED) ?(sample = 64) ~r ~s () =
     max lower (min upper scaled)
   end
 
-let estimate ~r ~s =
-  let lower, upper = bounds ~r ~s in
-  let g = sqrt (float_of_int lower *. float_of_int upper) in
-  max lower (min upper (int_of_float g))
+let estimate ~r ~s = geometric_mean (bounds ~r ~s)

@@ -19,6 +19,16 @@ val estimate : r:Relation.t -> s:Relation.t -> int
 val bounds : r:Relation.t -> s:Relation.t -> int * int
 (** The (lower, upper) sandwich used by {!estimate}. *)
 
+val sandwich : join_size:int -> dom_x:int -> dom_z:int -> n:int -> int * int
+(** {!bounds} from precomputed inputs: [join_size] = |OUT{_⋈}|,
+    [dom_x]/[dom_z] the active x/z counts and [n] = max(|R|, |S|).  The
+    optimizer's prepared statistics feed it without re-scanning the
+    relations. *)
+
+val geometric_mean : int * int -> int
+(** The estimate {!estimate} derives from a sandwich: the geometric mean
+    of the bounds, clamped to them. *)
+
 val sampled : ?seed:int -> ?sample:int -> r:Relation.t -> s:Relation.t -> unit -> int
 (** Sampling refinement (the better join-project estimators the paper's
     future-work section calls for): expands a uniform sample of [sample]

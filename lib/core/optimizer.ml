@@ -12,13 +12,14 @@ type plan = {
 }
 
 (* Indexes consulted by the cost loop; built once per planning call in
-   O(N log N) (Section 5, "Indexing relations"). *)
+   O(N + max degree) (Section 5, "Indexing relations"). *)
 type indexes = {
   n : int; (* max(|R|, |S|) *)
+  join_size : int; (* exact |OUT_⋈| = Σ_y deg_R y · deg_S y *)
   dom_x : int;
   dom_z : int;
   (* y side: keyed by min(deg_R y, deg_S y), since y is light iff that
-     minimum is <= d1 *)
+     minimum is <= d1; the three indexes share one ordering *)
   y_by_min : Stats.t; (* weights: deg_R y * deg_S y = expansion work *)
   y_wr : Stats.t; (* weights: deg_R y — mass of R tuples on light y *)
   y_ws : Stats.t; (* weights: deg_S y *)
@@ -26,31 +27,48 @@ type indexes = {
   z_stats : Stats.t;
 }
 
-let expansion_weights rel other =
-  (* weight(a) = sum over b in adj(a) of deg_other(b): the work to expand a. *)
-  Array.init (Relation.src_count rel) (fun a ->
-      Array.fold_left
-        (fun acc b ->
-          if b < Relation.dst_count other then acc + Relation.deg_dst other b else acc)
-        0 (Relation.adj_src rel a))
+(* Keyed by deg(a) over [rel]'s x side, weighted by the work to expand a:
+   Σ over b in adj(a) of [other_deg.(b)], the other relation's degree. *)
+let endpoint_stats rel other_deg =
+  let nx = Relation.src_count rel in
+  let deg = Array.make nx 0 and work = Array.make nx 0 in
+  for a = 0 to nx - 1 do
+    let row = Relation.adj_src rel a in
+    let acc = ref 0 in
+    for i = 0 to Array.length row - 1 do
+      acc := !acc + other_deg.(row.(i))
+    done;
+    deg.(a) <- Array.length row;
+    work.(a) <- !acc
+  done;
+  Stats.of_degrees ~weights:work deg
 
 let build_indexes ~r ~s =
   let ny = max (Relation.dst_count r) (Relation.dst_count s) in
-  let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
-  let deg_sy y = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
-  let min_deg = Array.init ny (fun y -> min (deg_ry y) (deg_sy y)) in
-  let prod = Array.init ny (fun y -> deg_ry y * deg_sy y) in
-  let wr = Array.init ny (fun y -> deg_ry y) in
-  let ws = Array.init ny (fun y -> deg_sy y) in
+  let min_deg = Array.make ny 0 and prod = Array.make ny 0 in
+  let wr = Array.make ny 0 and ws = Array.make ny 0 in
+  let join_size = ref 0 in
+  for y = 0 to ny - 1 do
+    let dr = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
+    let ds = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
+    min_deg.(y) <- (if dr < ds then dr else ds);
+    prod.(y) <- dr * ds;
+    wr.(y) <- dr;
+    ws.(y) <- ds;
+    join_size := !join_size + (dr * ds)
+  done;
+  let y_by_min = Stats.of_degrees ~weights:prod min_deg in
+  let x_stats = endpoint_stats r ws and z_stats = endpoint_stats s wr in
   {
     n = max (Relation.size r) (Relation.size s);
-    dom_x = Estimator.active_src r;
-    dom_z = Estimator.active_src s;
-    y_by_min = Stats.of_degrees ~weights:prod min_deg;
-    y_wr = Stats.of_degrees ~weights:wr min_deg;
-    y_ws = Stats.of_degrees ~weights:ws min_deg;
-    x_stats = Stats.of_degrees ~weights:(expansion_weights r s) (Relation.degrees_src r);
-    z_stats = Stats.of_degrees ~weights:(expansion_weights s r) (Relation.degrees_src s);
+    join_size = !join_size;
+    dom_x = Stats.active_count x_stats;
+    dom_z = Stats.active_count z_stats;
+    y_by_min;
+    y_wr = Stats.with_weights y_by_min wr;
+    y_ws = Stats.with_weights y_by_min ws;
+    x_stats;
+    z_stats;
   }
 
 (* Heavy matrix dimensions for thresholds (d1, d2).  [v] is exact;
@@ -110,46 +128,33 @@ let d2_for idx ~est_out d1 =
    every plan/estimate_cost call on a [prepared] value afterwards only
    runs the geometric descent over index probes.  The guard layer
    prepares once per invocation so mid-query checkpoints can afford
-   speculative re-planning. *)
-type prepared = {
-  p_r : Relation.t;
-  p_s : Relation.t;
-  p_idx : indexes;
-  p_join_size : int Lazy.t;
-}
+   speculative re-planning.  Immutable once built, so a cached value is
+   safe to share between domains. *)
+type prepared = indexes
 
-let prepare ~r ~s =
-  Jp_obs.span "optimizer.prepare" (fun () ->
-      {
-        p_r = r;
-        p_s = s;
-        p_idx = build_indexes ~r ~s;
-        p_join_size = lazy (Estimator.join_size ~r ~s);
-      })
+let prepare ~r ~s = Jp_obs.span "optimizer.prepare" (fun () -> build_indexes ~r ~s)
 
-let seal_prepared prep = ignore (Lazy.force prep.p_join_size)
+let estimated_out idx =
+  Estimator.geometric_mean
+    (Estimator.sandwich ~join_size:idx.join_size ~dom_x:idx.dom_x
+       ~dom_z:idx.dom_z ~n:idx.n)
 
-(* Footprint estimate for cache accounting: the five Stats structures hold
-   cumulative arrays over the y domain (three of them) and the two endpoint
-   domains.  Two words per indexed id is the right order of magnitude; the
-   cache only needs a consistent estimate, not an exact byte count. *)
-let prepared_bytes prep =
-  let ny = max (Relation.dst_count prep.p_r) (Relation.dst_count prep.p_s) in
-  let endpoints =
-    Relation.src_count prep.p_r + Relation.src_count prep.p_s
-  in
-  (8 * 2 * ((3 * ny) + (2 * endpoints))) + 128
+(* Footprint estimate for cache accounting, one word per array cell.  The
+   three y indexes share one ordering (ids, degrees, degree and degree²
+   prefixes) and add a weight prefix each: 7 arrays over the active y
+   values.  The x and z indexes own all 5 of theirs. *)
+let prepared_bytes idx =
+  let active = Stats.active_count in
+  (8 * ((7 * active idx.y_by_min) + (5 * (active idx.x_stats + active idx.z_stats))))
+  + 128
 
 let generic_plan ?machine ?(domains = 1) ~kind ?(wcoj_factor = 20)
-    ?est_out ?(mm_cost_scale = 1.0) ~counts_mode ~tie_d2 prep () =
+    ?est_out ?(mm_cost_scale = 1.0) ~counts_mode ~tie_d2 idx () =
   let m = match machine with Some m -> m | None -> Cost.machine () in
-  let join_size = Lazy.force prep.p_join_size in
+  let join_size = idx.join_size in
   let est_out =
-    match est_out with
-    | Some e -> max 1 e
-    | None -> Estimator.estimate ~r:prep.p_r ~s:prep.p_s
+    match est_out with Some e -> max 1 e | None -> estimated_out idx
   in
-  let idx = prep.p_idx in
   let wcoj_cost = wcoj_seconds m ~join_size ~dom_x:idx.dom_x in
   if join_size <= wcoj_factor * idx.n then
     { decision = Wcoj; est_out; join_size; est_seconds = wcoj_cost }
@@ -199,12 +204,10 @@ let plan_counts ?machine ?domains ?wcoj_factor ?est_out ?mm_cost_scale ~r ~s () 
     (prepare ~r ~s) ()
 
 let estimate_cost_prepared ?machine ?(domains = 1) ?(kind = Cost.Boolean)
-    ?(counts_mode = false) prep decision =
+    ?(counts_mode = false) idx decision =
   let m = match machine with Some m -> m | None -> Cost.machine () in
-  let idx = prep.p_idx in
   match decision with
-  | Wcoj ->
-    wcoj_seconds m ~join_size:(Lazy.force prep.p_join_size) ~dom_x:idx.dom_x
+  | Wcoj -> wcoj_seconds m ~join_size:idx.join_size ~dom_x:idx.dom_x
   | Partitioned { d1; d2 } ->
     light_seconds ~counts_mode m idx ~d1 ~d2
     +. heavy_seconds m kind ~domains (heavy_dims ~counts_mode idx ~d1 ~d2)

@@ -33,19 +33,18 @@ type plan = {
 
 type prepared
 (** The Section-5 degree indexes and exact join size for one (r, s) pair.
-    Building one is the O(N) part of planning; {!plan_prepared} and
-    {!estimate_cost_prepared} afterwards only run the geometric descent
-    over O(log N) index probes.  The adaptive guard layer prepares once
-    per invocation, which is what makes speculative re-planning at
-    mid-query checkpoints affordable. *)
+    Building one is the O(N + max degree) part of planning;
+    {!plan_prepared} and {!estimate_cost_prepared} afterwards only run the
+    geometric descent over O(log N) index probes.  The adaptive guard
+    layer prepares once per invocation, which is what makes speculative
+    re-planning at mid-query checkpoints affordable. *)
 
 val prepare : r:Relation.t -> s:Relation.t -> prepared
 
-val seal_prepared : prepared -> unit
-(** Forces the lazy join-size component.  [Jp_cache] seals a prepared
-    value before publishing it so that worker domains only ever read an
-    already-forced lazy (forcing the same suspension from two domains
-    concurrently is unsafe in OCaml 5). *)
+val estimated_out : prepared -> int
+(** The {!Estimator.estimate} |OUT| estimate from the prepared
+    statistics: the same sandwich, without re-scanning the relations.
+    {!plan_prepared} uses it unless [est_out] overrides it. *)
 
 val prepared_bytes : prepared -> int
 (** Approximate resident footprint in bytes, for cache accounting. *)

@@ -376,12 +376,12 @@ let partition_cells (p : Partition.t) =
 
 (* The statistics the initial plan sees: a guard's injected
    misestimation, or the optimizer's own when there is no guard. *)
-let injected_stats g ~r ~s =
+let injected_stats g prep =
   match g with
   | None -> (None, None)
   | Some g ->
     let inj = Jp_adaptive.Guard.inject g in
-    ( Some (Jp_adaptive.Inject.out inj (Estimator.estimate ~r ~s)),
+    ( Some (Jp_adaptive.Inject.out inj (Optimizer.estimated_out prep)),
       Some inj.Jp_adaptive.Inject.mm_factor )
 
 (* A time-budget checkpoint that only records its outcome: once the
@@ -620,9 +620,10 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
         | Some p -> p
         | None ->
           phase phases "plan" (fun () ->
-              let est_out, mm_cost_scale = injected_stats g ~r ~s in
+              let prep = Lazy.force prep in
+              let est_out, mm_cost_scale = injected_stats g prep in
               Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                ?est_out ?mm_cost_scale (Lazy.force prep) ())
+                ?est_out ?mm_cost_scale prep ())
       in
       let result =
         run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
@@ -831,9 +832,10 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
              can mislead it — and the honesty checkpoint below catches
              it. *)
           phase phases "plan" (fun () ->
-              let est_out, mm_cost_scale = injected_stats g ~r ~s in
+              let prep = Lazy.force prep in
+              let est_out, mm_cost_scale = injected_stats g prep in
               Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale
-                (Lazy.force prep) ())
+                prep ())
       in
       (* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade
          the heavy step to the combinatorial merge; a cost-honesty

@@ -1,40 +1,71 @@
 type t = {
-  ids : int array; (* active value ids, ascending by degree *)
+  dom : int; (* length of the degree array the index was built over *)
+  ids : int array; (* active value ids, ascending by degree, ties by id *)
   degs : int array; (* degree of ids.(i), ascending *)
   prefix_deg : int array; (* prefix_deg.(i) = Σ degs.(0..i-1) *)
   prefix_sq : int array;
   prefix_weight : int array;
 }
 
+let prefix_weights ids w =
+  let n = Array.length ids in
+  let p = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    p.(i + 1) <- p.(i) + w.(ids.(i))
+  done;
+  p
+
+(* Stable counting sort of the active ids on degree: one histogram pass,
+   an exclusive prefix sum over degrees, one placement pass.  O(n + max
+   degree), against a comparison sort's O(n log n) through [deg]. *)
 let of_degrees ?weights deg =
+  let dom = Array.length deg in
   (match weights with
-  | Some w when Array.length w <> Array.length deg ->
+  | Some w when Array.length w <> dom ->
     invalid_arg "Stats.of_degrees: weights length mismatch"
   | _ -> ());
-  let active = ref 0 in
-  Array.iter (fun d -> if d > 0 then incr active) deg;
-  let ids = Array.make !active 0 in
-  let p = ref 0 in
-  Array.iteri
-    (fun v d ->
-      if d > 0 then begin
-        ids.(!p) <- v;
-        incr p
-      end)
-    deg;
-  Array.sort (fun a b -> Int.compare deg.(a) deg.(b)) ids;
-  let n = Array.length ids in
-  let degs = Array.map (fun v -> deg.(v)) ids in
+  let max_d = ref 0 in
+  for v = 0 to dom - 1 do
+    if deg.(v) > !max_d then max_d := deg.(v)
+  done;
+  let start = Array.make (!max_d + 1) 0 in
+  for v = 0 to dom - 1 do
+    let d = deg.(v) in
+    if d > 0 then start.(d) <- start.(d) + 1
+  done;
+  let n = ref 0 in
+  for d = 1 to !max_d do
+    let c = start.(d) in
+    start.(d) <- !n;
+    n := !n + c
+  done;
+  let n = !n in
+  let ids = Array.make n 0 and degs = Array.make n 0 in
+  for v = 0 to dom - 1 do
+    let d = deg.(v) in
+    if d > 0 then begin
+      let i = start.(d) in
+      ids.(i) <- v;
+      degs.(i) <- d;
+      start.(d) <- i + 1
+    end
+  done;
   let prefix_deg = Array.make (n + 1) 0 in
   let prefix_sq = Array.make (n + 1) 0 in
-  let prefix_weight = Array.make (n + 1) 0 in
-  let weight v = match weights with Some w -> w.(v) | None -> deg.(v) in
   for i = 0 to n - 1 do
-    prefix_deg.(i + 1) <- prefix_deg.(i) + degs.(i);
-    prefix_sq.(i + 1) <- prefix_sq.(i) + (degs.(i) * degs.(i));
-    prefix_weight.(i + 1) <- prefix_weight.(i) + weight ids.(i)
+    let d = degs.(i) in
+    prefix_deg.(i + 1) <- prefix_deg.(i) + d;
+    prefix_sq.(i + 1) <- prefix_sq.(i) + (d * d)
   done;
-  { ids; degs; prefix_deg; prefix_sq; prefix_weight }
+  let prefix_weight =
+    match weights with Some w -> prefix_weights ids w | None -> prefix_deg
+  in
+  { dom; ids; degs; prefix_deg; prefix_sq; prefix_weight }
+
+let with_weights t w =
+  if Array.length w <> t.dom then
+    invalid_arg "Stats.with_weights: weights length mismatch";
+  { t with prefix_weight = prefix_weights t.ids w }
 
 let active_count t = Array.length t.ids
 

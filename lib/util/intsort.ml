@@ -12,26 +12,32 @@ let insertion a lo hi =
 (* LSD radix sort with 8-bit digits over the range [lo, hi).  One pass per
    significant byte of the maximum value: for the dictionary-encoded ids
    this project sorts (bounded by a relation's domain) that is 2-3 passes,
-   ~5 operations per element — far cheaper than comparison sorting. *)
+   ~5 operations per element — far cheaper than comparison sorting.  The
+   256-entry digit table holds an exclusive prefix sum (the first output
+   slot of each digit), which keeps it within the minor heap's size limit:
+   a row of up to 256 ids sorts without touching the major heap. *)
 let radix a lo hi max_v =
   let n = hi - lo in
   (let rec passes acc v = if v = 0 then acc else passes (acc + 1) (v lsr 8) in
    Obs_hook.note_radix ~elems:n ~passes:(passes 0 max_v));
   let tmp = Array.make n 0 in
-  let count = Array.make 257 0 in
+  let count = Array.make 256 0 in
   (* work in [cur] which is either a (offset lo) or tmp (offset 0) *)
   let src = ref a and src_off = ref lo in
   let dst = ref tmp and dst_off = ref 0 in
   let shift = ref 0 in
   while max_v lsr !shift > 0 do
-    Array.fill count 0 257 0;
+    Array.fill count 0 256 0;
     let s = !src and so = !src_off in
     for i = 0 to n - 1 do
       let d = (Array.unsafe_get s (so + i) lsr !shift) land 0xFF in
-      Array.unsafe_set count (d + 1) (Array.unsafe_get count (d + 1) + 1)
+      Array.unsafe_set count d (Array.unsafe_get count d + 1)
     done;
-    for d = 1 to 256 do
-      Array.unsafe_set count d (Array.unsafe_get count d + Array.unsafe_get count (d - 1))
+    let sum = ref 0 in
+    for d = 0 to 255 do
+      let c = Array.unsafe_get count d in
+      Array.unsafe_set count d !sum;
+      sum := !sum + c
     done;
     let t = !dst and to_ = !dst_off in
     for i = 0 to n - 1 do

@@ -34,7 +34,8 @@ val unsafe_data : t -> int array
 (** The backing store; only indices [< length] are meaningful. *)
 
 val sort_dedup : t -> unit
-(** Sorts ascending and removes duplicates in place. *)
+(** Sorts ascending and removes duplicates in place, without copying the
+    buffer. *)
 
 val iter : (int -> unit) -> t -> unit
 

@@ -230,6 +230,75 @@ let test_estimator_sampled () =
   (* determinism *)
   Alcotest.(check int) "deterministic" est (Estimator.sampled ~sample:10_000 ~r ~s:r ())
 
+(* Algorithm 3 on the six presets at scale 0.2 under [fixed_machine]:
+   decision, est_out, join size and the bit pattern of est_seconds, for
+   plan and plan_counts, with the 20·N shortcut on and off ("/wf0":
+   [~wcoj_factor:0], so the sparse presets run the descent too).  The
+   degree indexes and the estimator may change only in ways that leave
+   every one of these bit-identical. *)
+let pinned_plans =
+  Jp_workload.Presets.
+    [
+      (Dblp, "plan", "wcoj", 22300, 165777, 0x1.14792b317e749p-10);
+      (Dblp, "counts", "wcoj", 22300, 165777, 0x1.14792b317e749p-10);
+      (Dblp, "plan/wf0", "wcoj", 22300, 165777, 0x1.14792b317e749p-10);
+      (Dblp, "counts/wf0", "mm(d1=18,d2=28347)", 22300, 165777, 0x1.13e4801a47716p-10);
+      (Roadnet, "plan", "wcoj", 4489, 10076, 0x1.a557cf051c85bp-14);
+      (Roadnet, "counts", "wcoj", 4489, 10076, 0x1.a557cf051c85bp-14);
+      (Roadnet, "plan/wf0", "wcoj", 4489, 10076, 0x1.a557cf051c85bp-14);
+      (Roadnet, "counts/wf0", "wcoj", 4489, 10076, 0x1.a557cf051c85bp-14);
+      (Jokes, "plan", "mm(d1=21,d2=7)", 9840, 152014, 0x1.133c31aef8458p-11);
+      (Jokes, "counts", "mm(d1=33,d2=3652)", 9840, 152014, 0x1.8629a117dfd9p-12);
+      (Jokes, "plan/wf0", "mm(d1=21,d2=7)", 9840, 152014, 0x1.133c31aef8458p-11);
+      (Jokes, "counts/wf0", "mm(d1=33,d2=3652)", 9840, 152014, 0x1.8629a117dfd9p-12);
+      (Words, "plan", "mm(d1=31,d2=2)", 25460, 144411, 0x1.7ae42c5aa234ap-12);
+      (Words, "counts", "mm(d1=42,d2=2143)", 25460, 144411, 0x1.9f9aca933d089p-13);
+      (Words, "plan/wf0", "mm(d1=31,d2=2)", 25460, 144411, 0x1.7ae42c5aa234ap-12);
+      (Words, "counts/wf0", "mm(d1=42,d2=2143)", 25460, 144411, 0x1.9f9aca933d089p-13);
+      (Protein, "plan", "mm(d1=1,d2=1)", 6400, 256184, 0x1.5363082fb7c2fp-11);
+      (Protein, "counts", "mm(d1=1,d2=6340)", 6400, 256184, 0x1.421184710c7b2p-11);
+      (Protein, "plan/wf0", "mm(d1=1,d2=1)", 6400, 256184, 0x1.5363082fb7c2fp-11);
+      (Protein, "counts/wf0", "mm(d1=1,d2=6340)", 6400, 256184, 0x1.421184710c7b2p-11);
+      (Image, "plan", "mm(d1=1,d2=1)", 7380, 253510, 0x1.6f32a20cce36cp-11);
+      (Image, "counts", "mm(d1=27,d2=6108)", 7380, 253510, 0x1.5aa4d6d15f29ep-11);
+      (Image, "plan/wf0", "mm(d1=1,d2=1)", 7380, 253510, 0x1.6f32a20cce36cp-11);
+      (Image, "counts/wf0", "mm(d1=27,d2=6108)", 7380, 253510, 0x1.5aa4d6d15f29ep-11);
+    ]
+
+let test_plans_pinned () =
+  let module Presets = Jp_workload.Presets in
+  let machine = fixed_machine in
+  List.iter
+    (fun name ->
+      let r = Presets.load ~scale:0.2 name in
+      let prep = Optimizer.prepare ~r ~s:r in
+      Alcotest.(check int)
+        (Presets.to_string name ^ " prepared est_out = Estimator.estimate")
+        (Estimator.estimate ~r ~s:r) (Optimizer.estimated_out prep);
+      let plans =
+        [
+          ("plan", Optimizer.plan ~machine ~r ~s:r ());
+          ("counts", Optimizer.plan_counts ~machine ~r ~s:r ());
+          ("plan/wf0", Optimizer.plan_prepared ~machine ~wcoj_factor:0 prep ());
+          ("counts/wf0", Optimizer.plan_counts_prepared ~machine ~wcoj_factor:0 prep ());
+        ]
+      in
+      List.iter
+        (fun (variant, (p : Optimizer.plan)) ->
+          let label = Printf.sprintf "%s %s" (Presets.to_string name) variant in
+          let _, _, decision, est_out, join_size, est_seconds =
+            List.find (fun (n, v, _, _, _, _) -> n = name && v = variant) pinned_plans
+          in
+          Alcotest.(check string) (label ^ " decision") decision
+            (Optimizer.decision_to_string p.decision);
+          Alcotest.(check int) (label ^ " est_out") est_out p.est_out;
+          Alcotest.(check int) (label ^ " join_size") join_size p.join_size;
+          Alcotest.(check string) (label ^ " est_seconds")
+            (Printf.sprintf "%h" est_seconds)
+            (Printf.sprintf "%h" p.est_seconds))
+        plans)
+    Presets.all
+
 let test_optimizer_wcoj_shortcircuit () =
   (* A nearly functional relation: join size ~ N, far below 20N. *)
   let edges = Array.init 200 (fun i -> (i, i mod 50)) in
@@ -461,6 +530,7 @@ let suite =
     Alcotest.test_case "optimizer dense partition" `Quick test_optimizer_picks_partition_on_dense;
     Alcotest.test_case "theoretical thresholds" `Quick test_theoretical_thresholds;
     Alcotest.test_case "plan info" `Quick test_plan_info;
+    Alcotest.test_case "plans pinned on the presets" `Quick test_plans_pinned;
     Alcotest.test_case "merge counters pinned" `Quick test_merge_counters_pinned;
     Alcotest.test_case "absent capability is a no-op" `Quick
       test_absent_capability_noop;

@@ -126,20 +126,71 @@ let test_stats_weights () =
   Alcotest.(check int) "weight_le 1" 20 (Stats.weight_le s 1);
   Alcotest.(check int) "weight_le 2" 30 (Stats.weight_le s 2);
   Alcotest.(check int) "weight_le 5" 70 (Stats.weight_le s 5);
-  Alcotest.(check (list int)) "values_le" [ 1; 0 ] (Array.to_list (Stats.values_le s 2))
+  Alcotest.(check (list int)) "values_le" [ 1; 0 ] (Array.to_list (Stats.values_le s 2));
+  Alcotest.check_raises "with_weights length"
+    (Invalid_argument "Stats.with_weights: weights length mismatch") (fun () ->
+      ignore (Stats.with_weights s [| 1; 2 |]))
+
+(* A degree array from one of four regimes (small degrees; mostly zeros;
+   long runs of one tied degree; degrees in the thousands), a weight per
+   value and a probe threshold up to one past the maximum degree. *)
+let stats_case =
+  let open QCheck.Gen in
+  let arr len d = map Array.of_list (list_size len d) in
+  let degrees =
+    oneof
+      [
+        arr (int_bound 30) (int_bound 10);
+        arr (int_bound 200) (frequency [ (8, return 0); (1, int_range 1 50) ]);
+        ( int_range 1 5 >>= fun tie ->
+          arr (int_bound 300) (frequency [ (6, return tie); (1, int_bound 8) ]) );
+        arr (int_bound 100) (int_range 0 5000);
+      ]
+  in
+  let case =
+    degrees >>= fun deg ->
+    let max_d = Array.fold_left max 0 deg in
+    triple (return deg)
+      (array_size (return (Array.length deg)) (int_bound 1000))
+      (int_bound (max_d + 1))
+  in
+  QCheck.make ~print:QCheck.Print.(triple (array int) (array int) int) case
 
 let prop_stats_model =
-  QCheck.Test.make ~name:"stats agree with direct scans" ~count:200
-    QCheck.(pair (small_list (int_bound 10)) (int_bound 12))
-    (fun (degs, d) ->
-      let deg = Array.of_list degs in
-      let s = Stats.of_degrees deg in
-      let active = List.filter (fun x -> x > 0) degs in
-      let le = List.filter (fun x -> x <= d) active in
-      Stats.count_le s d = List.length le
-      && Stats.sum_le s d = List.fold_left ( + ) 0 le
-      && Stats.sum_sq_le s d = List.fold_left (fun a x -> a + (x * x)) 0 le
-      && Stats.count_gt s d = List.length active - List.length le)
+  QCheck.Test.make ~name:"stats agree with direct scans" ~count:300 stats_case
+    (fun (deg, w, d) ->
+      let s = Stats.of_degrees ~weights:w deg in
+      let active = List.filter (fun v -> deg.(v) > 0) (List.init (Array.length deg) Fun.id) in
+      let le = List.filter (fun v -> deg.(v) <= d) active in
+      let sum f l = List.fold_left (fun acc v -> acc + f v) 0 l in
+      let sorted_degs = List.sort compare (List.map (fun v -> deg.(v)) active) in
+      Stats.active_count s = List.length active
+      && Stats.max_degree s = List.fold_left max 0 sorted_degs
+      && Stats.count_le s d = List.length le
+      && Stats.count_gt s d = List.length active - List.length le
+      && Stats.sum_le s d = sum (fun v -> deg.(v)) le
+      && Stats.sum_sq_le s d = sum (fun v -> deg.(v) * deg.(v)) le
+      && Stats.weight_le s d = sum (fun v -> w.(v)) le
+      && List.sort compare (Array.to_list (Stats.values_le s d)) = le
+      && List.init (List.length active) (Stats.nth_smallest_degree s) = sorted_degs)
+
+(* The optimizer's y indexes share one ordering: [with_weights] must answer
+   every probe at every threshold exactly like a fresh weighted build. *)
+let prop_stats_shared_ordering =
+  QCheck.Test.make ~name:"stats with_weights answers like a fresh build" ~count:200
+    stats_case (fun (deg, w, _) ->
+      let fresh = Stats.of_degrees ~weights:w deg in
+      let shared = Stats.with_weights (Stats.of_degrees deg) w in
+      let probes t d =
+        ( Stats.count_le t d,
+          Stats.sum_le t d,
+          Stats.sum_sq_le t d,
+          Stats.weight_le t d,
+          Stats.values_le t d )
+      in
+      List.for_all
+        (fun d -> probes fresh d = probes shared d)
+        (List.init (Stats.max_degree fresh + 2) Fun.id))
 
 let test_pairs () =
   let p = Pairs.of_rows [| [| 1; 3 |]; [||]; [| 0 |] |] in
@@ -219,6 +270,7 @@ let suite =
     Alcotest.test_case "stats" `Quick test_stats;
     Alcotest.test_case "stats weights" `Quick test_stats_weights;
     QCheck_alcotest.to_alcotest prop_stats_model;
+    QCheck_alcotest.to_alcotest prop_stats_shared_ordering;
     Alcotest.test_case "pairs" `Quick test_pairs;
     Alcotest.test_case "counted pairs" `Quick test_counted_pairs;
     Alcotest.test_case "tuples packed" `Quick test_tuples_packed;

@@ -218,6 +218,48 @@ let prop_intsort_large_values =
       Array.sort compare b;
       a = b)
 
+(* A range at an offset [lo > 0] with lengths on both sides of the
+   insertion (32) and scratch-in-minor-heap (256) limits, so radix runs
+   at an offset; values of 1, 2-3 and 5-6 bytes set the pass count. *)
+let prop_intsort_sub_offset =
+  QCheck.Test.make ~name:"Intsort.sort_sub at an offset sorts only its range"
+    ~count:300
+    QCheck.(
+      make
+        ~print:Print.(pair (array int) (pair int int))
+        Gen.(
+          triple (int_range 1 40)
+            (oneof [ int_range 0 40; int_range 200 300; int_range 30 600 ])
+            (int_range 0 40)
+          >>= fun (lo, n, pad) ->
+          oneofl [ 255; 70_000; 1 lsl 40 ] >>= fun bound ->
+          map
+            (fun a -> (a, (lo, lo + n)))
+            (array_size (return (lo + n + pad)) (int_bound bound))))
+    (fun (a0, (lo, hi)) ->
+      let a = Array.copy a0 in
+      Jp_util.Intsort.sort_sub a ~lo ~hi;
+      let range = Array.sub a0 lo (hi - lo) in
+      Array.sort compare range;
+      Array.sub a lo (hi - lo) = range
+      && Array.sub a 0 lo = Array.sub a0 0 lo
+      && Array.sub a hi (Array.length a - hi) = Array.sub a0 hi (Array.length a0 - hi))
+
+let test_vec_sort_dedup_large () =
+  let v = Vec.create () in
+  (* 600 pushes, each of 300 distinct ids twice, out of order *)
+  for i = 0 to 599 do
+    Vec.push v (i * 7919 mod 600 mod 300 * 1000)
+  done;
+  Vec.sort_dedup v;
+  let ids = List.init 300 (fun i -> i * 1000) in
+  check "sorted, deduplicated" ids (Array.to_list (Vec.to_array v));
+  Vec.push v 5;
+  Vec.push v 299_000;
+  check "push after sort_dedup" (ids @ [ 5; 299_000 ]) (Array.to_list (Vec.to_array v));
+  Vec.sort_dedup v;
+  check "sort_dedup again" (0 :: 5 :: List.tl ids) (Array.to_list (Vec.to_array v))
+
 let test_intsort_sub () =
   let a = [| 9; 8; 7; 6; 5; 4 |] in
   Jp_util.Intsort.sort_sub a ~lo:1 ~hi:4;
@@ -305,6 +347,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_intsort;
     QCheck_alcotest.to_alcotest prop_intsort_large_values;
     Alcotest.test_case "intsort sub" `Quick test_intsort_sub;
+    QCheck_alcotest.to_alcotest prop_intsort_sub_offset;
+    Alcotest.test_case "vec sort_dedup large" `Quick test_vec_sort_dedup_large;
     Alcotest.test_case "heap basic" `Quick test_heap_basic;
     QCheck_alcotest.to_alcotest prop_heap_sorts;
     Alcotest.test_case "timer median" `Quick test_timer_median;
