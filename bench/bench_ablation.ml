@@ -239,14 +239,17 @@ let dynamic cfg =
   Bench_common.note
     "maintenance amortizes: each delta costs O(deg) instead of a full join."
 
+(* |π_xz(R ⋈ R)| through Two_path, with whatever capability a cell arms. *)
+let self_count ?guard ?cancel ?memo r =
+  Jp_relation.Pairs.count (Joinproj.Two_path.project ?guard ?cancel ?memo ~r ~s:r ())
+
 let guard cfg =
   Bench_common.section
     "ABL-GUARD: adaptive plan guards under injected misestimation";
   let module Guard = Jp_adaptive.Guard in
   let module Inject = Jp_adaptive.Inject in
   let run ?guard ~label r =
-    Bench_common.timed_cell ~label cfg (fun () ->
-        Jp_relation.Pairs.count (Joinproj.Two_path.project ?guard ~r ~s:r ()))
+    Bench_common.timed_cell ~label cfg (fun () -> self_count ?guard r)
   in
   let rows =
     List.map
@@ -289,29 +292,28 @@ let guard cfg =
     "stay within ~2x of the correctly-planned time; budget 0ms must degrade";
   Bench_common.note "to the safe combinatorial path, same |OUT| everywhere."
 
+(* The answers of a served run, in submission order; any typed error
+   aborts the ablation [tag]. *)
+let answers ~tag run =
+  Array.map
+    (fun rep ->
+      match rep.Jp_service.outcome with
+      | Ok n -> n
+      | Error e -> failwith (tag ^ ": " ^ Jp_service.error_to_string e))
+    run.Jp_served.reports
+
 let chaos cfg =
   Bench_common.section
     "ABL-CHAOS: cancellation polling, service wrapping and fault recovery";
   let module Cancel = Jp_util.Cancel in
-  let count ?cancel r =
-    Jp_relation.Pairs.count (Joinproj.Two_path.project ?cancel ~r ~s:r ())
-  in
   (* One query through the service; create/shutdown sit outside the timed
      cell so the row prices the steady-state path (queue, worker domain,
      ticket, retries), not domain spawning. *)
-  let serve ~label ~chaos r =
+  let serve ~label ~chaos w =
     let svc = Jp_service.create { Jp_service.default with Jp_service.chaos } in
     let cell =
       Bench_common.timed_cell ~label cfg (fun () ->
-          let tk =
-            Jp_service.submit svc (fun ~cancel ~attempt:_ ~degraded ->
-                let guard = if degraded then Some Jp_adaptive.Guard.safe else None in
-                Jp_relation.Pairs.count
-                  (Joinproj.Two_path.project ?guard ~cancel ~r ~s:r ()))
-          in
-          match (Jp_service.await tk).Jp_service.outcome with
-          | Ok n -> n
-          | Error e -> failwith ("ABL-CHAOS: " ^ Jp_service.error_to_string e))
+          (answers ~tag:"ABL-CHAOS" (Jp_served.closed w svc [| 0 |])).(0))
     in
     Jp_service.shutdown svc;
     cell
@@ -326,14 +328,15 @@ let chaos cfg =
         let r = Bench_common.dataset cfg name in
         let ds = Presets.to_string name in
         let bare, n0 =
-          Bench_common.timed_cell ~label:(ds ^ "/bare") cfg (fun () -> count r)
+          Bench_common.timed_cell ~label:(ds ^ "/bare") cfg (fun () -> self_count r)
         in
         let polled, n1 =
           Bench_common.timed_cell ~label:(ds ^ "/cancel-token") cfg (fun () ->
-              count ~cancel:(Cancel.create ()) r)
+              self_count ~cancel:(Cancel.create ()) r)
         in
-        let served, n2 = serve ~label:(ds ^ "/served") ~chaos:None r in
-        let chaotic, n3 = serve ~label:(ds ^ "/chaos") ~chaos:(Some hostile) r in
+        let w = Jp_served.create ~flavour:Jp_served.Mm [| r |] in
+        let served, n2 = serve ~label:(ds ^ "/served") ~chaos:None w in
+        let chaotic, n3 = serve ~label:(ds ^ "/chaos") ~chaos:(Some hostile) w in
         Bench_common.check_consistent cfg ~label:ds [ n0; n1; n2; n3 ];
         [ ds; bare; polled; served; chaotic ])
       [ Presets.Jokes; Presets.Dblp ]
@@ -353,9 +356,6 @@ let chaos cfg =
 
 let semantic_cache cfg =
   Bench_common.section "ABL-CACHE: cross-query semantic cache (Jp_cache)";
-  let count ?memo ?cancel r =
-    Jp_relation.Pairs.count (Joinproj.Two_path.project ?memo ?cancel ~r ~s:r ())
-  in
   (* Single-query cells: the cold cache prices the miss path (every
      lookup misses, every artifact is inserted), the warm cache reuses
      the prepared statistics and the heavy-part product. *)
@@ -366,18 +366,18 @@ let semantic_cache cfg =
         let ds = Presets.to_string name in
         let bare, n0 =
           Bench_common.timed_cell ~label:(ds ^ "/uncached") cfg (fun () ->
-              count r)
+              self_count r)
         in
         let cold, n1 =
           Bench_common.timed_cell ~label:(ds ^ "/cache-cold") cfg (fun () ->
               let c = Jp_cache.create () in
-              count ~memo:(Jp_cache.two_path_memo c ~r ~s:r) r)
+              self_count ~memo:(Jp_cache.two_path_memo c ~r ~s:r) r)
         in
         let warm = Jp_cache.create () in
-        ignore (count ~memo:(Jp_cache.two_path_memo warm ~r ~s:r) r);
+        ignore (self_count ~memo:(Jp_cache.two_path_memo warm ~r ~s:r) r);
         let hot, n2 =
           Bench_common.timed_cell ~label:(ds ^ "/cache-warm") cfg (fun () ->
-              count ~memo:(Jp_cache.two_path_memo warm ~r ~s:r) r)
+              self_count ~memo:(Jp_cache.two_path_memo warm ~r ~s:r) r)
         in
         Bench_common.check_consistent cfg ~label:ds [ n0; n1; n2 ];
         [ ds; bare; cold; hot ])
@@ -391,48 +391,18 @@ let semantic_cache cfg =
      resolve without touching a worker domain. *)
   let r = Bench_common.dataset cfg Presets.Jokes in
   let nq = 32 and distinct = 4 in
-  let n = Relation.src_count r in
-  let subs =
-    Array.init distinct (fun d ->
-        let g = Jp_util.Rng.create (401 + (7919 * d)) in
-        let frac = 0.3 +. Jp_util.Rng.float g 0.4 in
-        let keep = Array.init n (fun _ -> Jp_util.Rng.float g 1.0 < frac) in
-        Relation.restrict_src r (fun a -> keep.(a)))
+  let w =
+    Jp_served.create ~flavour:Jp_served.Mm (Jp_served.sample ~seed:401 distinct r)
   in
   let zipf = Jp_workload.Zipf.create ~exponent:1.2 distinct in
   let g = Jp_util.Rng.create 402 in
   let ident = Array.init nq (fun _ -> Jp_workload.Zipf.sample zipf g) in
-  let expected = Array.map (fun sub -> count sub) subs in
-  let tag : int Jp_cache.tag = Jp_cache.tag "bench.count" in
-  let svc = Jp_service.create Jp_service.default in
+  let svc =
+    Jp_service.create { Jp_service.default with Jp_service.queue_capacity = nq }
+  in
   let serve cache =
-    let total = ref 0 in
-    for i = 0 to nq - 1 do
-      let d = ident.(i) in
-      let sub = subs.(d) in
-      let cached =
-        Option.map
-          (fun c ->
-            Jp_cache.binding c tag
-              (Jp_cache.Key.of_relations ~kind:"bench.result" [ sub ])
-              ~bytes_of:(fun _ -> 16)
-              ~verify:(fun v -> v = expected.(d))
-              ())
-          cache
-      in
-      let tk =
-        Jp_service.submit svc ~key:i ?cached
-          (fun ~cancel ~attempt:_ ~degraded:_ ->
-            let memo =
-              Option.map (fun c -> Jp_cache.two_path_memo c ~r:sub ~s:sub) cache
-            in
-            count ?memo ~cancel sub)
-      in
-      match (Jp_service.await tk).Jp_service.outcome with
-      | Ok v -> total := !total + v
-      | Error e -> failwith ("ABL-CACHE: " ^ Jp_service.error_to_string e)
-    done;
-    !total
+    Array.fold_left ( + ) 0
+      (answers ~tag:"ABL-CACHE" (Jp_served.closed ?cache w svc ident))
   in
   let s0 = ref 0 and s1 = ref 0 in
   let t0 =
@@ -472,26 +442,15 @@ let obs cfg =
      run-to-run noise of a single repeat, so this ablation takes the
      median of at least 5 runs per cell even at --quick. *)
   let cfg = { cfg with Bench_common.repeats = max cfg.Bench_common.repeats 5 } in
-  let count ?cancel r =
-    Jp_relation.Pairs.count (Joinproj.Two_path.project ?cancel ~r ~s:r ())
-  in
   (* A small pipelined batch through the service: with recording armed
      this path pays spans with args, lifecycle counters, two histogram
      observations, queue/in-flight gauge updates and one gauge snapshot
      per query.  Batching amortizes the per-query submit/await domain
      handoff, which is far noisier than the effect under test. *)
   let serve_batch = 6 in
-  let serve svc r =
-    let tickets =
-      List.init serve_batch (fun _ ->
-          Jp_service.submit svc (fun ~cancel ~attempt:_ ~degraded:_ -> count ~cancel r))
-    in
-    List.fold_left
-      (fun _ tk ->
-        match (Jp_service.await tk).Jp_service.outcome with
-        | Ok n -> n
-        | Error e -> failwith ("ABL-OBS: " ^ Jp_service.error_to_string e))
-      0 tickets
+  let serve svc w =
+    let batch = Jp_served.closed w svc (Array.make serve_batch 0) in
+    (answers ~tag:"ABL-OBS" batch).(serve_batch - 1)
   in
   let timed label f =
     let n = ref 0 in
@@ -507,23 +466,24 @@ let obs cfg =
       (fun name ->
         let r = Bench_common.dataset cfg name in
         let ds = Presets.to_string name in
+        let w = Jp_served.create ~flavour:Jp_served.Mm [| r |] in
         (* Recording-off cells run first (Bench_common only emits JSON
            records for armed cells, so those rows are timing-only); the
            untimed warmup calls keep allocator/cache warm-up effects out
            of whichever cell happens to run first. *)
         Jp_obs.disable ();
-        ignore (count r);
-        let e_off, n0 = timed (ds ^ "/engine-off") (fun () -> count r) in
+        ignore (self_count r);
+        let e_off, n0 = timed (ds ^ "/engine-off") (fun () -> self_count r) in
         let svc = Jp_service.create Jp_service.default in
-        ignore (serve svc r);
-        let s_off, n1 = timed (ds ^ "/served-off") (fun () -> serve svc r) in
+        ignore (serve svc w);
+        let s_off, n1 = timed (ds ^ "/served-off") (fun () -> serve svc w) in
         Jp_service.shutdown svc;
         Jp_obs.enable ();
-        ignore (count r);
-        let e_on, n2 = timed (ds ^ "/engine-armed") (fun () -> count r) in
+        ignore (self_count r);
+        let e_on, n2 = timed (ds ^ "/engine-armed") (fun () -> self_count r) in
         let svc = Jp_service.create Jp_service.default in
-        ignore (serve svc r);
-        let s_on, n3 = timed (ds ^ "/served-armed") (fun () -> serve svc r) in
+        ignore (serve svc w);
+        let s_on, n3 = timed (ds ^ "/served-armed") (fun () -> serve svc w) in
         Jp_service.shutdown svc;
         Bench_common.check_consistent cfg ~label:ds [ n0; n1; n2; n3 ];
         [
@@ -637,28 +597,16 @@ let load cfg =
   Bench_common.section
     "ABL-LOAD: open-loop saturation sweep, overload controller vs bare queue";
   let module Service = Jp_service in
-  let module Arrivals = Jp_workload.Arrivals in
   let module Hist = Jp_metrics.Hist in
   let r = Bench_common.dataset cfg Presets.Jokes in
   let distinct = 8 in
-  let n = Relation.src_count r in
-  let subs =
-    Array.init distinct (fun d ->
-        let g = Jp_util.Rng.create (501 + (7919 * d)) in
-        let frac = 0.3 +. Jp_util.Rng.float g 0.4 in
-        let keep = Array.init n (fun _ -> Jp_util.Rng.float g 1.0 < frac) in
-        Relation.restrict_src r (fun a -> keep.(a)))
+  let w =
+    Jp_served.create ~flavour:Jp_served.Mm (Jp_served.sample ~seed:501 distinct r)
   in
-  let count ?guard ?cancel i =
-    let sub = subs.(i mod distinct) in
-    Jp_relation.Pairs.count
-      (Joinproj.Two_path.project ?guard ?cancel ~r:sub ~s:sub ())
-  in
-  let expected = Array.init distinct (fun i -> count i) in
   (* Knee estimate: the service's fault-free throughput ceiling. *)
   let t0 =
     let runs =
-      List.init 3 (fun i -> snd (Jp_util.Timer.time (fun () -> count i)))
+      List.init 3 (fun d -> snd (Jp_util.Timer.time (fun () -> Jp_served.answer w d)))
     in
     List.nth (List.sort Float.compare runs) 1
   in
@@ -682,87 +630,48 @@ let load cfg =
       }
     in
     let svc = Service.create cfg_s in
-    let schedule = Arrivals.schedule ~seed:7 ~rate ~count:nq () in
-    let tickets = Array.make nq None in
-    let start =
-      Arrivals.drive ~now:Jp_util.Timer.now ~sleep:Unix.sleepf ~schedule
-        (fun i ->
-          tickets.(i) <-
-            Some
-              (Service.submit svc ~key:i (fun ~cancel ~attempt:_ ~degraded ->
-                   let guard =
-                     if degraded then Some Jp_adaptive.Guard.safe else None
-                   in
-                   count ?guard ~cancel i)))
+    let run =
+      Jp_served.open_loop w svc
+        ~schedule:(Jp_workload.Arrivals.schedule ~seed:7 ~rate ~count:nq ())
+        (Array.init nq (fun i -> i mod distinct))
     in
-    let reports =
-      Array.map (fun tk -> Service.await (Option.get tk)) tickets
-    in
-    let makespan = Jp_util.Timer.now () -. start in
     Service.shutdown svc;
-    let ok = ref 0 and shed = ref 0 and expired = ref 0 in
-    let dead = ref 0 and other = ref 0 in
-    let e2e = Hist.create () in
-    Array.iteri
-      (fun i rep ->
-        match rep.Service.outcome with
-        | Ok c ->
-          if c <> expected.(i mod distinct) then begin
-            Printf.printf
-              "  ERROR: served answer disagrees with the unloaded engine \
-               (query %d: %d vs %d)\n%!"
-              i c expected.(i mod distinct);
-            if cfg.Bench_common.strict then exit 1
-          end;
-          incr ok;
-          Hist.observe e2e (rep.Service.queued_s +. rep.Service.ran_s)
-        | Error Service.Shed -> incr shed
-        | Error Service.Expired_in_queue -> incr expired
-        | Error Service.Deadline_exceeded -> incr dead
-        | Error _ -> incr other)
-      reports;
-    let goodput = if makespan > 0. then float_of_int !ok /. makespan else 0. in
-    let p99 =
-      if Hist.count e2e = 0 then "-"
-      else Tablefmt.seconds (Hist.quantile e2e 0.99)
-    in
-    (nq, !ok, !shed, !expired, !dead, !other, p99, goodput)
+    let v = Jp_served.verdict w run in
+    if v.wrong > 0 then begin
+      Printf.printf "  ERROR: %d served answers disagree with the unloaded engine\n%!"
+        v.wrong;
+      if cfg.Bench_common.strict then exit 1
+    end;
+    v
   in
-  let multipliers = [ 0.5; 1.0; 2.0; 8.0 ] in
   let results =
     List.map
       (fun m ->
         let rate = m *. knee in
         (m, rate, run_sweep ~ctl:false rate, run_sweep ~ctl:true rate))
-      multipliers
+      [ 0.5; 1.0; 2.0; 8.0 ]
   in
-  let rows =
-    List.concat_map
-      (fun (m, rate, off, on) ->
-        let row ctl (nq, ok, shed, expired, dead, other, p99, goodput) =
-          [
-            Printf.sprintf "%.2gx knee (%.1f/s)" m rate;
-            ctl;
-            string_of_int nq;
-            string_of_int ok;
-            string_of_int shed;
-            string_of_int expired;
-            string_of_int dead;
-            string_of_int other;
-            p99;
-            Printf.sprintf "%.1f/s" goodput;
-          ]
-        in
-        [ row "off" off; row "on" on ])
-      results
+  let row m rate ctl (v : Jp_served.verdict) =
+    let nq = Array.length v.run.reports and n k = Hist.count (Jp_served.outcome v k) in
+    let other = nq - v.completed - n "shed" - n "expired" - n "deadline" in
+    [ Printf.sprintf "%.2gx knee (%.1f/s)" m rate; ctl ]
+    @ List.map string_of_int
+        [ nq; v.completed; n "shed"; n "expired"; n "deadline"; other ]
+    @ [ (if Hist.count v.e2e = 0 then "-"
+         else Tablefmt.seconds (Hist.quantile v.e2e 0.99));
+        Printf.sprintf "%.1f/s" v.goodput ]
   in
   Tablefmt.print
     ~header:
       [ "arrival rate"; "ctl"; "sub"; "ok"; "shed"; "expired"; "deadline";
         "other"; "p99"; "goodput" ]
-    ~rows;
-  let goodput_of (_, _, _, _, _, _, _, g) = g in
-  let _, _, off_hi, on_hi = List.nth results (List.length results - 1) in
+    ~rows:
+      (List.concat_map
+         (fun (m, rate, off, on) -> [ row m rate "off" off; row m rate "on" on ])
+         results);
+  let _, _, (off_hi : Jp_served.verdict), (on_hi : Jp_served.verdict) =
+    List.nth results (List.length results - 1)
+  in
   Bench_common.note
     "single query %s, knee ~%.1f/s (%d worker(s)), deadline %s"
     (Tablefmt.seconds t0) knee workers
@@ -773,11 +682,11 @@ let load cfg =
     "value (shed/expire/brownout instead of queueing to death) while the";
   Bench_common.note
     "bare queue collapses; below the knee the controller is within noise.";
-  if cfg.Bench_common.strict && goodput_of on_hi < goodput_of off_hi then begin
+  if cfg.Bench_common.strict && on_hi.goodput < off_hi.goodput then begin
     Printf.printf
       "  ERROR: controller-on goodput %.1f/s < controller-off %.1f/s at the \
        highest rate\n%!"
-      (goodput_of on_hi) (goodput_of off_hi);
+      on_hi.goodput off_hi.goodput;
     exit 1
   end
 

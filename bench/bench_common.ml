@@ -69,11 +69,16 @@ let counter_delta before after =
       if v - v0 <> 0 then Some (name, v - v0) else None)
     after
 
+(* The resident footprints are levels, kept as Jp_metrics gauges; a
+   cell's [bytes] ledger fields are their change over the cell. *)
+let footprints () =
+  Jp_metrics.(gauge_value G.cache_bytes, gauge_value G.tile_bytes)
+
 (* The [counters] delta drops zero entries, so consumers watching cache
    behaviour would see the cache.* keys flicker in and out of the record.
    Summarize them in a dedicated, always-present object (old fields stay
    exactly as they were). *)
-let cache_summary counters =
+let cache_summary counters ~bytes =
   let open Jp_obs.Json in
   let get n = Option.value ~default:0 (List.assoc_opt n counters) in
   Obj
@@ -83,13 +88,13 @@ let cache_summary counters =
       ("evict", Int (get "cache.evict"));
       ("reject", Int (get "cache.reject"));
       ("invalidate", Int (get "cache.invalidate"));
-      ("bytes", Int (get "cache.bytes"));
+      ("bytes", Int bytes);
     ]
 
 (* Same always-present treatment for the tile.* counters: [peak_bytes]
    is the cell's high-water resident-set mark under the tile store's
    byte budget, the headline number of the memory-bounded kernels. *)
-let tile_summary counters =
+let tile_summary counters ~bytes =
   let open Jp_obs.Json in
   let get n = Option.value ~default:0 (List.assoc_opt n counters) in
   Obj
@@ -98,7 +103,7 @@ let tile_summary counters =
       ("store_hit", Int (get "tile.store_hit"));
       ("evict", Int (get "tile.evict"));
       ("product", Int (get "tile.product"));
-      ("bytes", Int (get "tile.bytes"));
+      ("bytes", Int bytes);
       ("peak_bytes", Int (get "tile.peak_bytes"));
     ]
 
@@ -111,7 +116,9 @@ let run_quantile q dts =
   let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
   a.(max 0 (min (n - 1) (rank - 1)))
 
-let emit_record ?checksum ~label ~seconds ~runs counters =
+let emit_record ?checksum ~label ~seconds ~runs ~before (cache0, tile0) =
+  let counters = counter_delta before (Jp_obs.counter_values ()) in
+  let cache1, tile1 = footprints () in
   let open Jp_obs.Json in
   let fields =
     [ ("experiment", String !current_tag); ("label", String label);
@@ -121,8 +128,8 @@ let emit_record ?checksum ~label ~seconds ~runs counters =
       ("p99", Float (run_quantile 0.99 runs)) ]
     @ (match checksum with Some c -> [ ("checksum", Int c) ] | None -> [])
     @ [ ("counters", Obj (List.map (fun (n, v) -> (n, Int v)) counters));
-        ("cache", cache_summary counters);
-        ("tile", tile_summary counters) ]
+        ("cache", cache_summary counters ~bytes:(cache1 - cache0));
+        ("tile", tile_summary counters ~bytes:(tile1 - tile0)) ]
   in
   json_records := Obj fields :: !json_records
 
@@ -141,10 +148,9 @@ let time_raw cfg f = fst (time_runs_raw cfg f)
 let time ?label cfg f =
   if not (Jp_obs.recording ()) then time_raw cfg f
   else begin
-    let before = Jp_obs.counter_values () in
+    let before = Jp_obs.counter_values () and bytes = footprints () in
     let t, runs = time_runs_raw cfg f in
-    emit_record ~label:(auto_label label) ~seconds:t ~runs
-      (counter_delta before (Jp_obs.counter_values ()));
+    emit_record ~label:(auto_label label) ~seconds:t ~runs ~before bytes;
     t
   end
 
@@ -159,10 +165,10 @@ let timed_cell ?label cfg f =
   let t =
     if not (Jp_obs.recording ()) then time_raw cfg run
     else begin
-      let before = Jp_obs.counter_values () in
+      let before = Jp_obs.counter_values () and bytes = footprints () in
       let t, runs = time_runs_raw cfg run in
       emit_record ~checksum:!result ~label:(auto_label label) ~seconds:t ~runs
-        (counter_delta before (Jp_obs.counter_values ()));
+        ~before bytes;
       t
     end
   in

@@ -144,6 +144,11 @@ let tile_of tiled tile_bits max_resident_mb =
            (Option.map (fun mb -> mb * 1024 * 1024) max_resident_mb)
          ~force:true ())
 
+(* [--cache-mb]: 0 disables the semantic cache. *)
+let cache_of mb =
+  if mb > 0 then Some (Jp_cache.create ~config:(Jp_cache.with_budget_mb mb) ())
+  else None
+
 let warn_guard_unsupported guard what =
   if guard <> None then
     Printf.eprintf
@@ -299,8 +304,7 @@ let star_cmd =
       value & flag
       & info [ "combinatorial" ] ~doc:"Use the combinatorial heavy part (Non-MMJoin).")
   in
-  let run name input scale seed domains k combinatorial adaptive budget_ms
-      inject_est =
+  let run name input scale seed k combinatorial adaptive budget_ms inject_est =
     if k < 2 then failwith "k must be >= 2";
     let r = load_source name input scale seed in
     let guard = guard_of adaptive budget_ms inject_est in
@@ -311,15 +315,15 @@ let star_cmd =
     let count, t =
       Jp_util.Timer.time (fun () ->
           Jp_relation.Tuples.count
-            (Joinproj.Star.project ~domains ~strategy ?guard rels))
+            (Joinproj.Star.project ~strategy ?guard rels))
     in
     report (Printf.sprintf "star join (k=%d)" k) count t
   in
   Cmd.v
     (Cmd.info "star" ~doc:"Evaluate the star join-project self-join.")
     Term.(
-      const run $ dataset $ input_file $ scale $ seed $ domains $ k
-      $ combinatorial $ adaptive $ budget_ms $ inject_est)
+      const run $ dataset $ input_file $ scale $ seed $ k $ combinatorial
+      $ adaptive $ budget_ms $ inject_est)
 
 let ssj_cmd =
   let c = Arg.(value & opt int 2 & info [ "c" ] ~docv:"C" ~doc:"Overlap threshold.") in
@@ -456,6 +460,14 @@ let write_text ~what path content =
     Printf.eprintf "joinproj: cannot write %s: %s\n" what msg;
     exit 1
 
+let write_metrics =
+  Option.iter (fun path ->
+      write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ()))
+
+let write_trace =
+  Option.iter (fun path ->
+      write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()))
+
 (* Shared by profile, serve and stress. *)
 let trace_out_arg =
   Arg.(
@@ -516,7 +528,7 @@ let profile_cmd =
                   (Two_path.project ~domains ?guard ?tile ~r ~s:r ())
               | `Star ->
                 Jp_relation.Tuples.count
-                  (Joinproj.Star.project ~domains ?guard (Array.make 3 r))
+                  (Joinproj.Star.project ?guard (Array.make 3 r))
               | `Ssj ->
                 Jp_relation.Pairs.count (Jp_ssj.Mm_ssj.join ~domains ?guard ~c:2 r)
               | `Scj -> Jp_relation.Pairs.count (Jp_scj.Mm_scj.join ~domains ?guard r)
@@ -547,14 +559,8 @@ let profile_cmd =
     print_string (Jp_obs.render_counters ());
     print_newline ();
     print_string (Jp_obs.render_plans ());
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
-    match metrics_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ())
+    write_trace trace_out;
+    write_metrics metrics_out
   in
   Cmd.v
     (Cmd.info "profile"
@@ -607,11 +613,7 @@ let query_cmd =
     let r = load_source name input scale seed in
     let catalog = [ ("R", r); ("S", r); ("T", r) ] in
     let guard = guard_of adaptive budget_ms inject_est in
-    let cache =
-      if cache_mb > 0 then
-        Some (Jp_cache.create ~config:(Jp_cache.with_budget_mb cache_mb) ())
-      else None
-    in
+    let cache = cache_of cache_mb in
     match Jp_query.Cq.parse query_text with
     | Error e -> prerr_endline e
     | Ok q -> (
@@ -716,35 +718,19 @@ let stats_cmd =
 (* ------------------------------------------------------------------ *)
 (* serve / stress: the resilient query service                         *)
 
-(* The query pool for the general-CQ service flavour: acyclic,
-   non-whole-star queries that exercise the decomposition planner (carved
-   2-path fragments stitched into Yannakakis, boolean heads, dangling
-   variables).  All relation names resolve to the query's sub-relation. *)
-let cq_pool =
-  lazy
-    (Array.map
-       (fun s -> Result.get_ok (Jp_query.Cq.parse s))
-       [|
-         "Q(a, d) :- R(a, b), S(b, c), T(c, d)";
-         "Q(a) :- R(a, b), S(c, b), T(c, d)";
-         "Q(a, c) :- R(a, b), S(c, b), T(c, d)";
-         "Q() :- R(a, b), S(c, b)";
-       |])
-
-(* The served workload: query i runs one of five engine flavours on a
-   pseudo-random sub-relation of the dataset (seeded per query, so the
-   workload — and the chaos plan keyed on the query index — is
-   reproducible).  Expected outputs come from direct, fault-free engine
-   calls before the service starts; a served query must match them
-   exactly or end in a typed error.  [flavour] other than [`Auto] pins
-   every query to one engine.
-
-   With [skew] > 0 the queries draw their identity from a pool of
-   [~nq/4] distinct sub-relations with Zipf([skew]) popularity — the
-   repeated-query traffic a semantic cache exists for.  [skew] = 0 keeps
-   the historical one-distinct-query-per-submission workload. *)
-let service_workload ~seed ~domains ~nq ~skew ~flavour r =
-  let n = Relation.src_count r in
+(* The served workload is Jp_served's; query i runs identity ident.(i).
+   With [skew] > 0 identities come from a pool of [~nq/4] with
+   Zipf([skew]) popularity (repeated traffic for the cache to hit);
+   otherwise every query has its own.  Positional arguments follow the
+   command-line terms of [service_term]; the command supplies [chaos]. *)
+let serve_and_report name input scale seed domains nq workers queue_cap retries
+    backoff_ms deadline_ms cache_mb skew flavour open_loop rate sweep arrivals
+    no_ctl metrics_out trace_out chaos =
+  let module Hist = Jp_metrics.Hist in
+  let r = load_source name input scale seed in
+  Jp_obs.reset ();
+  Jp_metrics.reset ();
+  Jp_obs.enable ();
   let distinct = if skew > 0.0 then max 1 ((nq + 3) / 4) else nq in
   let ident =
     if skew > 0.0 then begin
@@ -752,105 +738,10 @@ let service_workload ~seed ~domains ~nq ~skew ~flavour r =
       let g = Jp_util.Rng.create (seed + 13) in
       Array.init nq (fun _ -> Jp_workload.Zipf.sample z g)
     end
-    else Array.init nq (fun i -> i)
+    else Array.init nq Fun.id
   in
-  let engine_of i =
-    match flavour with
-    | `Mm -> ("mm", `Mm)
-    | `Nonmm -> ("nonmm", `Nonmm)
-    | `Ssj -> ("ssj", `Ssj)
-    | `Scj -> ("scj", `Scj)
-    | `Cq -> ("cq", `Cq)
-    | `Auto -> (
-      match ident.(i) mod 5 with
-      | 0 -> ("mm", `Mm)
-      | 1 -> ("nonmm", `Nonmm)
-      | 2 -> ("ssj", `Ssj)
-      | 3 -> ("scj", `Scj)
-      | _ -> ("cq", `Cq))
-  in
-  let engine_code i =
-    match snd (engine_of i) with
-    | `Mm -> 0
-    | `Nonmm -> 1
-    | `Ssj -> 2
-    | `Scj -> 3
-    | `Cq -> 4
-  in
-  let subs =
-    Array.init distinct (fun d ->
-        let g = Jp_util.Rng.create (seed + (7919 * d)) in
-        let frac = 0.3 +. Jp_util.Rng.float g 0.4 in
-        let keep = Array.init n (fun _ -> Jp_util.Rng.float g 1.0 < frac) in
-        Relation.restrict_src r (fun a -> keep.(a)))
-  in
-  let sub_of i = subs.(ident.(i)) in
-  let count_of ?guard ?cancel ?cache i =
-    let sub = sub_of i in
-    let memo =
-      Option.map (fun c -> Jp_cache.two_path_memo c ~r:sub ~s:sub) cache
-    in
-    match snd (engine_of i) with
-    | `Mm ->
-      Jp_relation.Pairs.count
-        (Two_path.project ~domains ?guard ?cancel ?memo ~r:sub ~s:sub ())
-    | `Nonmm ->
-      Jp_relation.Pairs.count
-        (Two_path.project ~domains ~strategy:Two_path.Combinatorial ?guard
-           ?cancel ~r:sub ~s:sub ())
-    | `Ssj ->
-      Jp_relation.Pairs.count
-        (Jp_ssj.Mm_ssj.join ~domains ?guard ?cancel ?cache ~c:2 sub)
-    | `Scj ->
-      Jp_relation.Pairs.count (Jp_scj.Mm_scj.join ~domains ?guard ?cancel ?cache sub)
-    | `Cq -> (
-      let pool = Lazy.force cq_pool in
-      let q = pool.(ident.(i) mod Array.length pool) in
-      let catalog = [ ("R", sub); ("S", sub); ("T", sub) ] in
-      if q.Jp_query.Cq.head = [] then
-        match Jp_query.Engine.boolean ~domains ?guard ?cancel ?cache catalog q with
-        | Ok sat -> if sat then 1 else 0
-        | Error e -> failwith ("cq flavour: " ^ e)
-      else
-        match Jp_query.Engine.run ~domains ?guard ?cancel ?cache catalog q with
-        | Ok tuples -> Jp_relation.Tuples.count tuples
-        | Error e -> failwith ("cq flavour: " ^ e))
-  in
-  (engine_of, engine_code, count_of, sub_of)
-
-let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
-    ~retries ~backoff_ms ~deadline_ms ~chaos ~cache_mb ~skew ~flavour
-    ~open_loop ~rate ~sweep ~arrivals ~no_ctl ~metrics_out ~trace_out =
-  let r = load_source name input scale seed in
-  Jp_obs.reset ();
-  Jp_metrics.reset ();
-  Jp_obs.enable ();
-  let engine_of, engine_code, count_of, sub_of =
-    service_workload ~seed ~domains ~nq ~skew ~flavour r
-  in
-  (* Expected answers come from direct, cache-free calls: the cache must
-     only ever reproduce them. *)
-  let expected = Array.init nq (fun i -> count_of i) in
-  let cache =
-    if cache_mb > 0 then
-      Some (Jp_cache.create ~config:(Jp_cache.with_budget_mb cache_mb) ())
-    else None
-  in
-  let count_tag : int Jp_cache.tag = Jp_cache.tag "serve.count" in
-  let binding_of i =
-    Option.map
-      (fun c ->
-        let key =
-          Jp_cache.Key.of_relations ~kind:"serve.result"
-            ~params:[ engine_code i ]
-            [ sub_of i ]
-        in
-        Jp_cache.binding c count_tag key
-          ~bytes_of:(fun _ -> 16)
-          ~verify:(fun v -> v = expected.(i))
-          ())
-      cache
-  in
+  let w = Jp_served.create ~domains ~flavour (Jp_served.sample ~seed distinct r) in
+  let cache = cache_of cache_mb in
   let cfg =
     {
       Jp_service.workers;
@@ -860,282 +751,129 @@ let run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
       default_deadline_s = Option.map (fun ms -> ms /. 1e3) deadline_ms;
       chaos;
       controller =
-        (if open_loop && not no_ctl then Some Jp_service.Overload.default
-         else None);
+        (if open_loop && not no_ctl then Some Jp_service.Overload.default else None);
     }
   in
-  let submit_one svc i =
-    Jp_service.submit svc ~key:i ?cached:(binding_of i)
-      (fun ~cancel ~attempt:_ ~degraded ->
-        let guard = if degraded then Some Jp_adaptive.Guard.safe else None in
-        count_of ?guard ~cancel ?cache i)
+  (* One fresh service (and controller state) per client run. *)
+  let serve client =
+    let svc = Jp_service.create cfg in
+    let run = client svc in
+    Jp_service.shutdown svc;
+    Jp_served.verdict w run
   in
-  let wrong = ref 0 in
-  if open_loop then begin
-    (* Open-loop: arrivals come from a fixed, seeded schedule that never
-       waits for the service — a rate past saturation piles up queueing
-       instead of stretching the client.  One fresh service (and fresh
-       controller state) per swept rate. *)
-    let rates =
-      match sweep with
-      | Some (lo, hi, steps) -> Jp_workload.Arrivals.sweep ~lo ~hi ~steps
-      | None -> [| rate |]
-    in
-    let header =
-      [ "rate"; "sub"; "ok"; "hit"; "shed"; "qfull"; "expired"; "deadline";
-        "cancel"; "fail"; "p50"; "p95"; "p99"; "goodput" ]
-    in
-    let module Hist = Jp_metrics.Hist in
-    let rows =
-      Array.to_list rates
-      |> List.map (fun rate ->
-             let svc = Jp_service.create cfg in
-             let schedule =
-               Jp_workload.Arrivals.schedule ~process:arrivals ~seed ~rate
-                 ~count:nq ()
-             in
-             let tickets = Array.make nq None in
-             let start =
-               Jp_workload.Arrivals.drive ~now:Jp_util.Timer.now
-                 ~sleep:Unix.sleepf ~schedule (fun i ->
-                   tickets.(i) <- Some (submit_one svc i))
-             in
-             let reports =
-               Array.map
-                 (fun tk -> Jp_service.await (Option.get tk))
-                 tickets
-             in
-             let makespan = Jp_util.Timer.now () -. start in
-             Jp_service.shutdown svc;
-             let tally = Hashtbl.create 8 in
-             let bump k =
-               Hashtbl.replace tally k
-                 (1 + Option.value ~default:0 (Hashtbl.find_opt tally k))
-             in
-             let e2e = Hist.create () in
-             let ok = ref 0 in
-             Array.iteri
-               (fun i rep ->
-                 match rep.Jp_service.outcome with
-                 | Ok c ->
-                   if c <> expected.(i) then incr wrong;
-                   incr ok;
-                   if rep.Jp_service.cache_hit then bump "hit";
-                   Hist.observe e2e
-                     (rep.Jp_service.queued_s +. rep.Jp_service.ran_s)
-                 | Error e -> bump (Jp_service.error_to_string e))
-               reports;
-             let n k =
-               string_of_int (Option.value ~default:0 (Hashtbl.find_opt tally k))
-             in
-             let cell q =
-               if Hist.count e2e = 0 then "-"
-               else Jp_util.Tablefmt.seconds (Hist.quantile e2e q)
-             in
-             (* Goodput counts answers produced within their deadline: an
-                Ok outcome already implies that when a deadline is armed
-                (expiry is a typed error), so it is simply Ok/s. *)
-             let goodput =
-               if makespan > 0. then float_of_int !ok /. makespan else 0.
-             in
-             [
-               Printf.sprintf "%.1f/s" rate;
-               string_of_int nq;
-               string_of_int !ok;
-               n "hit";
-               n "shed";
-               n "overloaded";
-               n "expired-in-queue";
-               n "deadline";
-               n "cancelled";
-               (let f = ref 0 in
-                Hashtbl.iter
-                  (fun k v ->
-                    if String.length k >= 6 && String.sub k 0 6 = "failed" then
-                      f := !f + v)
-                  tally;
-                string_of_int !f);
-               cell 0.50;
-               cell 0.95;
-               cell 0.99;
-               Printf.sprintf "%.1f/s" goodput;
-             ])
-    in
-    Printf.printf "open-loop %s arrivals, %d queries per rate, controller %s\n\n"
-      (Jp_workload.Arrivals.process_to_string arrivals)
-      nq
-      (if no_ctl then "off" else "on");
-    Jp_util.Tablefmt.print ~header ~rows;
-    print_newline ();
-    print_string (Jp_obs.render_counters ());
-    (match cache with
-    | None -> ()
-    | Some c -> Format.printf "\n%a@." Jp_cache.pp_stats (Jp_cache.stats c));
-    (match metrics_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ()));
-    (match trace_out with
-    | None -> ()
-    | Some path ->
-      write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
-    let spawned = Jp_obs.value Jp_obs.C.service_workers_spawned in
-    let joined = Jp_obs.value Jp_obs.C.service_workers_joined in
-    Jp_obs.disable ();
-    if !wrong > 0 then begin
-      Printf.eprintf
-        "joinproj: error: %d served queries returned wrong results\n" !wrong;
-      exit 1
-    end;
-    if spawned <> joined then begin
-      Printf.eprintf
-        "joinproj: error: leaked worker domains (%d spawned, %d joined)\n"
-        spawned joined;
-      exit 1
-    end
-  end
-  else begin
-  let svc = Jp_service.create cfg in
-  let reports =
-    if Option.is_none cache then
-      (* Fire-and-await client: everything is in flight at once (this is
-         what exercises admission control). *)
-      Array.map Jp_service.await (Array.init nq (submit_one svc))
-    else
-      (* Closed-loop when the cache is armed: a repeated query can only
-         hit an entry once the earlier identical query has completed and
-         published. *)
-      Array.init nq (fun i -> Jp_service.await (submit_one svc i))
-  in
-  Jp_service.shutdown svc;
-  let header =
-    [ "q"; "engine"; "outcome"; "att"; "retry"; "deg"; "hit"; "out"; "expect";
-      "ok"; "ran" ]
-  in
-  let rows =
-    List.init nq (fun i ->
-        let rep = reports.(i) in
-        let out, outcome, ok =
-          match rep.Jp_service.outcome with
-          | Ok c ->
-            let ok = c = expected.(i) in
-            if not ok then incr wrong;
-            (string_of_int c, "ok", if ok then "yes" else "WRONG")
-          | Error e -> ("-", Jp_service.error_to_string e, "-")
-        in
-        [
-          string_of_int i;
-          fst (engine_of i);
-          outcome;
-          string_of_int rep.Jp_service.attempts;
-          string_of_int rep.Jp_service.retries;
-          (if rep.Jp_service.degraded then "yes" else "-");
-          (if rep.Jp_service.cache_hit then "yes" else "-");
-          out;
-          string_of_int expected.(i);
-          ok;
-          Jp_util.Tablefmt.seconds rep.Jp_service.ran_s;
-        ])
-  in
-  Jp_util.Tablefmt.print ~header ~rows;
-  print_newline ();
-  print_string (Jp_obs.render_counters ());
-  (match cache with
-  | None -> ()
-  | Some c ->
-    Format.printf "\n%a@." Jp_cache.pp_stats (Jp_cache.stats c));
-  (* Latency summary over the run's reports, bucketed with the same
-     base-√2 ladder as the service histograms: quantiles are bucket upper
-     bounds, so the table's shape (and, for a fixed seed, its bucket
-     placement) is deterministic even though raw times vary. *)
-  let module Hist = Jp_metrics.Hist in
-  let outcome_keys =
-    [ "ok"; "ok (cache hit)"; "overloaded"; "shed"; "expired"; "deadline";
-      "cancelled"; "failed" ]
-  in
-  let by_outcome = List.map (fun k -> (k, Hist.create ())) outcome_keys in
-  let queued = Hist.create () and ran = Hist.create () in
-  Array.iter
-    (fun rep ->
-      let key =
-        match rep.Jp_service.outcome with
-        | Ok _ -> if rep.Jp_service.cache_hit then "ok (cache hit)" else "ok"
-        | Error Jp_service.Overloaded -> "overloaded"
-        | Error Jp_service.Shed -> "shed"
-        | Error Jp_service.Expired_in_queue -> "expired"
-        | Error Jp_service.Deadline_exceeded -> "deadline"
-        | Error Jp_service.Cancelled -> "cancelled"
-        | Error (Jp_service.Failed _) -> "failed"
-      in
-      Hist.observe (List.assoc key by_outcome) rep.Jp_service.ran_s;
-      (* Queries refused at admission (queue full or shed) never entered
-         the queue: they would only dilute the latency distributions with
-         zeros. *)
-      if key <> "overloaded" && key <> "shed" then begin
-        Hist.observe queued rep.Jp_service.queued_s;
-        Hist.observe ran rep.Jp_service.ran_s
-      end)
-    reports;
+  let n v k = string_of_int (Hist.count (Jp_served.outcome v k)) in
   let cell h q =
     if Hist.count h = 0 then "-" else Jp_util.Tablefmt.seconds (Hist.quantile h q)
   in
-  let cell_max h =
-    if Hist.count h = 0 then "-"
-    else Jp_util.Tablefmt.seconds (Hist.max_value h)
+  let verdicts =
+    if open_loop then begin
+      (* Arrivals follow a seeded schedule that never waits for the
+         service; goodput is Ok/s, as an Ok already met its deadline. *)
+      let rates =
+        match sweep with
+        | Some (lo, hi, steps) -> Jp_workload.Arrivals.sweep ~lo ~hi ~steps
+        | None -> [| rate |]
+      in
+      let run rate =
+        let schedule =
+          Jp_workload.Arrivals.schedule ~process:arrivals ~seed ~rate ~count:nq ()
+        in
+        (rate, serve (fun svc -> Jp_served.open_loop ?cache w svc ~schedule ident))
+      in
+      let runs = List.map run (Array.to_list rates) in
+      Printf.printf "open-loop %s arrivals, %d queries per rate, controller %s\n\n"
+        (Jp_workload.Arrivals.process_to_string arrivals)
+        nq
+        (if no_ctl then "off" else "on");
+      Jp_util.Tablefmt.print
+        ~header:
+          [ "rate"; "sub"; "ok"; "hit"; "shed"; "qfull"; "expired"; "deadline";
+            "cancel"; "fail"; "p50"; "p95"; "p99"; "goodput" ]
+        ~rows:
+          (List.map
+             (fun (rate, (v : Jp_served.verdict)) ->
+               [ Printf.sprintf "%.1f/s" rate; string_of_int nq;
+                 string_of_int v.completed ]
+               @ List.map (n v)
+                   [ "hit"; "shed"; "overloaded"; "expired"; "deadline";
+                     "cancelled"; "failed" ]
+               @ List.map (cell v.e2e) [ 0.50; 0.95; 0.99 ]
+               @ [ Printf.sprintf "%.1f/s" v.goodput ])
+             runs);
+      List.map snd runs
+    end
+    else begin
+      (* Fire-and-await, or one query at a time with the cache armed. *)
+      let v = serve (fun svc -> Jp_served.closed ?cache w svc ident) in
+      let row i (rep : int Jp_service.report) =
+        let expect = Jp_served.expected w ident.(i) in
+        let out, outcome, ok =
+          match rep.outcome with
+          | Ok c -> (string_of_int c, "ok", if c = expect then "yes" else "WRONG")
+          | Error e -> ("-", Jp_service.error_to_string e, "-")
+        in
+        let yes b = if b then "yes" else "-" in
+        [ string_of_int i; Jp_served.engine w ident.(i); outcome;
+          string_of_int rep.attempts; string_of_int rep.retries;
+          yes rep.degraded; yes rep.cache_hit; out; string_of_int expect; ok;
+          Jp_util.Tablefmt.seconds rep.ran_s ]
+      in
+      Jp_util.Tablefmt.print
+        ~header:
+          [ "q"; "engine"; "outcome"; "att"; "retry"; "deg"; "hit"; "out";
+            "expect"; "ok"; "ran" ]
+        ~rows:(Array.to_list (Array.mapi row v.run.reports));
+      [ v ]
+    end
   in
   print_newline ();
-  Jp_util.Tablefmt.print
-    ~header:[ "latency"; "p50"; "p95"; "p99"; "max"; "n" ]
-    ~rows:
-      (List.map
-         (fun (label, h) ->
-           [
-             label;
-             cell h 0.50;
-             cell h 0.95;
-             cell h 0.99;
-             cell_max h;
-             string_of_int (Hist.count h);
-           ])
-         [ ("queued", queued); ("ran", ran) ]);
-  print_newline ();
-  Jp_util.Tablefmt.print
-    ~header:[ "outcome"; "n"; "ran p50"; "ran p95"; "ran max" ]
-    ~rows:
-      (List.map
-         (fun (k, h) ->
-           [ k; string_of_int (Hist.count h); cell h 0.50; cell h 0.95;
-             cell_max h ])
-         by_outcome);
-  (match metrics_out with
-  | None -> ()
-  | Some path ->
-    write_text ~what:"OpenMetrics exposition" path (Jp_metrics.exposition ()));
-  (match trace_out with
-  | None -> ()
-  | Some path ->
-    write_text ~what:"Chrome trace" path (Jp_metrics.chrome_trace_string ()));
-  let spawned = Jp_obs.value Jp_obs.C.service_workers_spawned in
-  let joined = Jp_obs.value Jp_obs.C.service_workers_joined in
+  print_string (Jp_obs.render_counters ());
+  Option.iter
+    (fun c -> Format.printf "\n%a@." Jp_cache.pp_stats (Jp_cache.stats c))
+    cache;
+  let last = List.nth verdicts (List.length verdicts - 1) in
+  if not open_loop then begin
+    (* Quantiles are bucket bounds of the base-√2 ladder, so the tables'
+       shape is deterministic even though raw times vary. *)
+    let cell_max h =
+      if Hist.count h = 0 then "-" else Jp_util.Tablefmt.seconds (Hist.max_value h)
+    in
+    let row label h =
+      [ label; cell h 0.50; cell h 0.95; cell h 0.99; cell_max h;
+        string_of_int (Hist.count h) ]
+    in
+    print_newline ();
+    Jp_util.Tablefmt.print
+      ~header:[ "latency"; "p50"; "p95"; "p99"; "max"; "n" ]
+      ~rows:[ row "queued" last.queued; row "ran" last.ran ];
+    print_newline ();
+    Jp_util.Tablefmt.print
+      ~header:[ "outcome"; "n"; "ran p50"; "ran p95"; "ran max" ]
+      ~rows:
+        (List.map
+           (fun (label, k) ->
+             let h = Jp_served.outcome last k in
+             [ label; string_of_int (Hist.count h); cell h 0.50; cell h 0.95;
+               cell_max h ])
+           [ ("ok", "ok"); ("ok (cache hit)", "hit"); ("overloaded", "overloaded");
+             ("shed", "shed"); ("expired", "expired"); ("deadline", "deadline");
+             ("cancelled", "cancelled"); ("failed", "failed") ])
+  end;
+  write_metrics metrics_out;
+  write_trace trace_out;
   Jp_obs.disable ();
-  let completed =
-    Array.fold_left
-      (fun acc rep ->
-        match rep.Jp_service.outcome with Ok _ -> acc + 1 | Error _ -> acc)
-      0 reports
-  in
-  Printf.printf "\n%d/%d completed, %d wrong, workers %d spawned / %d joined\n"
-    completed nq !wrong spawned joined;
-  if !wrong > 0 then begin
-    Printf.eprintf "joinproj: error: %d served queries returned wrong results\n"
-      !wrong;
+  let wrong = List.fold_left (fun acc (v : Jp_served.verdict) -> acc + v.wrong) 0 verdicts in
+  if not open_loop then
+    Printf.printf "\n%d/%d completed, %d wrong, workers %d spawned / %d joined\n"
+      last.completed nq wrong last.spawned last.joined;
+  if wrong > 0 then begin
+    Printf.eprintf "joinproj: error: %d served queries returned wrong results\n" wrong;
     exit 1
   end;
-  if spawned <> joined then begin
+  if last.spawned <> last.joined then begin
     Printf.eprintf "joinproj: error: leaked worker domains (%d spawned, %d joined)\n"
-      spawned joined;
+      last.spawned last.joined;
     exit 1
-  end
   end
 
 (* Flags shared by serve and stress. *)
@@ -1255,28 +993,29 @@ let flavour_arg =
     & opt
         (enum
            [
-             ("auto", `Auto);
-             ("mm", `Mm);
-             ("nonmm", `Nonmm);
-             ("ssj", `Ssj);
-             ("scj", `Scj);
-             ("cq", `Cq);
+             ("auto", Jp_served.Auto);
+             ("mm", Jp_served.Mm);
+             ("nonmm", Jp_served.Nonmm);
+             ("ssj", Jp_served.Ssj);
+             ("scj", Jp_served.Scj);
+             ("cq", Jp_served.Cq);
            ])
-        `Auto
+        Jp_served.Auto
     & info [ "flavour" ] ~docv:"F"
         ~doc:
           "Engine flavour for every query: $(b,mm), $(b,nonmm), $(b,ssj), \
            $(b,scj) or $(b,cq) (general conjunctive queries through the \
            decomposition planner).  $(b,auto) cycles through all five.")
 
+(* Every serve/stress flag but the chaos ones, which the command adds. *)
+let service_term =
+  Term.(
+    const serve_and_report $ dataset $ input_file $ scale $ seed $ domains $ queries_n
+    $ workers_arg $ queue_cap $ retries_arg $ backoff_ms $ deadline_ms
+    $ cache_mb_arg $ query_skew $ flavour_arg $ open_loop_flag $ rate_arg
+    $ sweep_arg $ arrivals_arg $ no_ctl_flag $ metrics_out_arg $ trace_out_arg)
+
 let serve_cmd =
-  let run name input scale seed domains nq workers queue_cap retries backoff_ms
-      deadline_ms cache_mb skew flavour open_loop rate sweep arrivals no_ctl
-      metrics_out trace_out =
-    run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
-      ~retries ~backoff_ms ~deadline_ms ~chaos:None ~cache_mb ~skew ~flavour
-      ~open_loop ~rate ~sweep ~arrivals ~no_ctl ~metrics_out ~trace_out
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -1287,12 +1026,7 @@ let serve_cmd =
           something to hit.  $(b,--open-loop) $(b,--rate) (or $(b,--sweep)) \
           switches to a seeded arrival schedule with goodput and \
           p50/p95/p99 reporting, with the overload controller armed.")
-    Term.(
-      const run $ dataset $ input_file $ scale $ seed $ domains $ queries_n
-      $ workers_arg $ queue_cap $ retries_arg $ backoff_ms $ deadline_ms
-      $ cache_mb_arg $ query_skew $ flavour_arg $ open_loop_flag $ rate_arg
-      $ sweep_arg $ arrivals_arg $ no_ctl_flag $ metrics_out_arg
-      $ trace_out_arg)
+    Term.(service_term $ const None)
 
 let stress_cmd =
   let chaos_seed =
@@ -1321,23 +1055,16 @@ let stress_cmd =
       value & opt float 20.0
       & info [ "slow-ms" ] ~docv:"MS" ~doc:"Length of injected slowdowns.")
   in
-  let run name input scale seed domains nq workers queue_cap retries backoff_ms
-      deadline_ms cache_mb skew flavour open_loop rate sweep arrivals no_ctl
-      metrics_out trace_out chaos_seed p_transient p_kill p_slow slow_ms =
-    let chaos =
-      Some
-        {
-          Jp_chaos.none with
-          Jp_chaos.seed = chaos_seed;
-          p_transient;
-          p_worker_kill = p_kill;
-          p_slowdown = p_slow;
-          slowdown_s = slow_ms /. 1e3;
-        }
-    in
-    run_service ~name ~input ~scale ~seed ~domains ~nq ~workers ~queue_cap
-      ~retries ~backoff_ms ~deadline_ms ~chaos ~cache_mb ~skew ~flavour
-      ~open_loop ~rate ~sweep ~arrivals ~no_ctl ~metrics_out ~trace_out
+  let chaos seed p_transient p_worker_kill p_slowdown slow_ms =
+    Some
+      {
+        Jp_chaos.none with
+        Jp_chaos.seed;
+        p_transient;
+        p_worker_kill;
+        p_slowdown;
+        slowdown_s = slow_ms /. 1e3;
+      }
   in
   Cmd.v
     (Cmd.info "stress"
@@ -1348,11 +1075,8 @@ let stress_cmd =
           fault-free answer (possibly after retries or degradation) — wrong \
           results exit non-zero.")
     Term.(
-      const run $ dataset $ input_file $ scale $ seed $ domains $ queries_n
-      $ workers_arg $ queue_cap $ retries_arg $ backoff_ms $ deadline_ms
-      $ cache_mb_arg $ query_skew $ flavour_arg $ open_loop_flag $ rate_arg
-      $ sweep_arg $ arrivals_arg $ no_ctl_flag $ metrics_out_arg
-      $ trace_out_arg $ chaos_seed $ p_transient $ p_kill $ p_slow $ slow_ms)
+      service_term
+      $ (const chaos $ chaos_seed $ p_transient $ p_kill $ p_slow $ slow_ms))
 
 let calibrate_cmd =
   let run () =

@@ -37,9 +37,9 @@ val answer_batch :
     amortization artifact instead: one {e full-relation} heavy partition
     and boolean product, built once and cached under the (r, s)
     fingerprints and thresholds, short-circuits heavy-heavy queries;
-    the rest fall back to {!answer_one} merge scans.  Answers are
-    byte-identical to the uncached path ([guard] is then moot: there is
-    no per-batch join to supervise).  The cancel token is polled once
+    the rest fall back to {!answer_one} merge scans.  Answers are the
+    same as on the uncached path ([guard] is then moot: there is no
+    per-batch join to supervise).  The cancel token is polled once
     per 1024 queries. *)
 
 val answer_one : r:Relation.t -> s:Relation.t -> int -> int -> bool

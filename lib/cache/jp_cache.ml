@@ -124,7 +124,6 @@ let misses_seen t key =
 let drop_entry t e =
   Hashtbl.remove t.table e.e_key;
   t.bytes <- t.bytes - e.e_bytes;
-  Obs.add Obs.C.cache_bytes (-e.e_bytes);
   Metrics.add_gauge Metrics.G.cache_bytes (-e.e_bytes);
   List.iter
     (fun fp ->
@@ -191,7 +190,6 @@ let insert t ~key ~fps ~bytes ~cost_s value =
   t.seq <- t.seq + 1;
   Hashtbl.replace t.table key e;
   t.bytes <- t.bytes + bytes;
-  Obs.add Obs.C.cache_bytes bytes;
   Metrics.add_gauge Metrics.G.cache_bytes bytes;
   List.iter
     (fun fp ->
@@ -265,7 +263,6 @@ let invalidate t ~fp =
 
 let clear t =
   locked t (fun () ->
-      Obs.add Obs.C.cache_bytes (-t.bytes);
       Metrics.add_gauge Metrics.G.cache_bytes (-t.bytes);
       Hashtbl.reset t.table;
       Hashtbl.reset t.by_fp;

@@ -38,4 +38,4 @@ let gate_star ?machine ?domains rels =
 let two_path ?domains ?guard ?cancel ?memo ?tile ~r ~s () =
   Two_path.project ?domains ?guard ?cancel ?memo ?tile ~r ~s ()
 
-let star ?domains ?guard ?cancel rels = Star.project ?domains ?guard ?cancel rels
+let star ?guard ?cancel rels = Star.project ?guard ?cancel rels

@@ -14,8 +14,9 @@
       decision for acyclic queries);
     - {!two_path} / {!star} execute a carved fragment through
       {!Two_path.project} / {!Star.project}, threading the full execution
-      context ([?guard], [?cancel], [?memo]) with the usual byte-identical
-      -when-absent guarantee.
+      context ([?guard], [?cancel], [?memo]); absent, they leave the same
+      results, the same work counters, and end-to-end times within
+      perfbench's bound.
 
     A star gate has no dedicated cost model: it is approximated by the
     2-path gate over the fragment's two largest relations (both oriented
@@ -71,7 +72,6 @@ val two_path :
     streams an over-threshold heavy product through {!Jp_tile}. *)
 
 val star :
-  ?domains:int ->
   ?guard:Jp_adaptive.Guard.config ->
   ?cancel:Cancel.t ->
   Relation.t array ->

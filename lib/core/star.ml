@@ -13,8 +13,6 @@ type strategy = Matrix | Combinatorial
    keeps the poll off the common path entirely). *)
 let poll_every = 256
 
-let check_cancel = function Some c -> Cancel.check c | None -> ()
-
 let maybe_check cancel i =
   match cancel with
   | Some c when i land (poll_every - 1) = 0 -> Cancel.check c
@@ -160,7 +158,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   let module Guard = Jp_adaptive.Guard in
   let k = Array.length rels in
   if k < 2 then invalid_arg "Star.project: arity must be >= 2";
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   let t_start = Jp_util.Timer.now () in
   let phases = ref [] in
   let g = Option.map Guard.start guard in
@@ -192,7 +190,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   (* Step 1: light-x sub-joins. *)
   phase phases "light-x" (fun () ->
       for j = 0 to k - 1 do
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
           ~restrict:(j, fun c _ -> Relation.deg_src rels.(j) c <= d2)
           rels add
@@ -200,7 +198,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   (* Step 2: light-y sub-joins. *)
   phase phases "light-y" (fun () ->
       for j = 0 to k - 1 do
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
           ~restrict:(j, fun _ y -> light_in_all_others j y)
           rels add
@@ -271,7 +269,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
     | None -> default
   in
   let heavy_path = ref "comb" in
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   (match strategy with
   | Combinatorial ->
     phase phases "heavy-comb" (fun () -> combinatorial_heavy ())
@@ -296,6 +294,6 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
       ~phases:(List.rev !phases) ();
   result
 
-let project ?domains:_ ?(strategy = Matrix) ?thresholds ?guard ?cancel rels =
+let project ?(strategy = Matrix) ?thresholds ?guard ?cancel rels =
   Obs.span "star.project" (fun () ->
       project_impl ~strategy ~thresholds ~guard ~cancel rels)

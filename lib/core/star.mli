@@ -20,8 +20,7 @@
     enumeration evaluated tuple-at-a-time — the star {b Non-MMJoin}.
 
     The product is streamed one row at a time, so peak memory stays
-    O(columns) even when the nominal u × w result would not fit; the
-    [domains] parameter is currently accepted for API stability but the
+    O(columns) even when the nominal u × w result would not fit.  The
     star evaluation runs single-domain. *)
 
 module Relation = Jp_relation.Relation
@@ -31,7 +30,6 @@ module Cancel = Jp_util.Cancel
 type strategy = Matrix | Combinatorial
 
 val project :
-  ?domains:int ->
   ?strategy:strategy ->
   ?thresholds:int * int ->
   ?guard:Jp_adaptive.Guard.config ->

@@ -48,13 +48,11 @@ let no_memo =
     memo_count_tile = (fun ~d1:_ ~tile_bits:_ ~ti:_ ~tj:_ build -> build ());
   }
 
-(* Cancellation support.  [check_cancel] is the phase-boundary
+(* Cancellation support.  [Cancel.check_opt] is the phase-boundary
    checkpoint; the chunked merge loops poll every [poll_rows] rows (the
    guard-checkpoint granularity), reusing one merge scratch per worker
    across sub-chunks — stamps are row ids, distinct across chunks, so
    stale stamps cannot collide.  An absent token is never polled. *)
-let check_cancel = function Some c -> Cancel.check c | None -> ()
-
 let poll_rows = 4096
 
 (* Measures one engine phase for the plan-vs-actual record; [f] may open
@@ -477,7 +475,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
     expand_into lo probe_hi;
     match g with
     | Some g when probe_hi < nx -> (
-      check_cancel cancel;
+      Cancel.check_opt cancel;
       (* Wcoj already is the safe path: a blown budget only marks the
          outcome — the remaining rows still have to be expanded. *)
       note_budget g;
@@ -508,7 +506,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
       | Guard.Continue | Guard.Degrade -> expand_into probe_hi nx)
     | _ -> ()
   and run_partitioned plan ~d1 ~d2 lo =
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     let p =
       phase phases "partition" (fun () -> Partition.make ?cancel ~r ~s ~d1 ~d2 ())
     in
@@ -535,7 +533,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
        race past sequential checkpoints, so parallel runs keep only the
        plan-time and pre-MM checks. *)
     let caller_guard = if domains <= 1 then g else None in
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     let product =
       match !strat with
       | Matrix ->
@@ -546,7 +544,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
                  ~s p))
       | Combinatorial -> None
     in
-    check_cancel cancel;
+    Cancel.check_opt cancel;
     let rows = Lazy.force rows in
     let resume = ref None in
     (* The per-chunk checkpoint: [false] stops the merge, to resume the
@@ -596,7 +594,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
      matrix plans outright. *)
   Option.iter
     (fun g ->
-      check_cancel cancel;
+      Cancel.check_opt cancel;
       veto_matrices g ~cells:0)
     g;
   run plan0 0;
@@ -754,7 +752,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   let treat_all_light = product = None in
   let nx = Relation.src_count r in
   let rows = Array.make nx ([||], [||]) in
-  check_cancel cancel;
+  Cancel.check_opt cancel;
   phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
           let nz = Relation.src_count s in
@@ -819,7 +817,7 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
   let memo = match memo with Some m -> m | None -> no_memo in
   Obs.span "two_path.project_counts" (fun () ->
       let t0 = Jp_util.Timer.now () in
-      check_cancel cancel;
+      Cancel.check_opt cancel;
       let phases = ref [] in
       let g = Option.map Jp_adaptive.Guard.start guard in
       let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in

@@ -272,24 +272,13 @@ let metric_name name =
    sums; OpenMetrics allows any decimal or scientific literal. *)
 let float_str v = Printf.sprintf "%.9g" v
 
-(* cache.bytes and tile.bytes are maintained as counter cells for delta
-   convenience but are semantically levels — expose them with the honest
-   type.  (tile.peak_bytes is monotone, so it stays a counter.) *)
-let gauge_typed_counters = [ "cache.bytes"; "tile.bytes" ]
-
 let exposition () =
   let b = Buffer.create 4096 in
   List.iter
     (fun (name, v) ->
       let n = metric_name name in
-      if List.mem name gauge_typed_counters then begin
-        Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n" n);
-        Buffer.add_string b (Printf.sprintf "%s %d\n" n v)
-      end
-      else begin
-        Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" n);
-        Buffer.add_string b (Printf.sprintf "%s_total %d\n" n v)
-      end)
+      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n" n);
+      Buffer.add_string b (Printf.sprintf "%s_total %d\n" n v))
     (Jp_obs.counter_values ());
   List.iter
     (fun (name, v) ->
@@ -314,12 +303,6 @@ let exposition () =
     (histogram_values ());
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-let write_exposition ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (exposition ()))
 
 (* ------------------------------------------------------------------ *)
 (* chrome-trace counter lane                                           *)

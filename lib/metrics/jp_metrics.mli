@@ -161,16 +161,16 @@ module G : sig
   (** Queries currently executing on {!Jp_service} worker domains. *)
 
   val cache_bytes : gauge
-  (** Resident {!Jp_cache} footprint in bytes (sum across caches),
-      mirroring the [cache.bytes] counter so snapshots sample it over
-      time.  Registered as ["cache.resident_bytes"]. *)
+  (** Resident {!Jp_cache} footprint in bytes (sum across caches): insert
+      adds the entry size, evict/invalidate subtracts it.  Registered as
+      ["cache.resident_bytes"]. *)
 
   val tile_bytes : gauge
   (** Resident operand-tile footprint of the tiled heavy-part product
-      (sum across live tile stores), mirroring the [tile.bytes] counter
-      the same way {!cache_bytes} mirrors [cache.bytes].  Registered as
-      ["tile.resident_bytes"]; snapshots carry it into the OpenMetrics
-      exposition and the Chrome-trace counter lanes. *)
+      (sum across live tile stores): build adds the tile size, evict and
+      drain subtract it.  Registered as ["tile.resident_bytes"];
+      snapshots carry it into the OpenMetrics exposition and the
+      Chrome-trace counter lanes. *)
 
   val brownout : gauge
   (** 1 while the {!Jp_service.Overload} controller is in brownout
@@ -186,16 +186,12 @@ end
 val exposition : unit -> string
 (** OpenMetrics / Prometheus text exposition of everything recorded:
     every {!Jp_obs} counter (as [# TYPE ... counter] with a [_total]
-    sample; the [cache.bytes] footprint counter is typed [gauge]), every
-    registered gauge, and every registered histogram
+    sample), every registered gauge, and every registered histogram
     ([_bucket{le="..."}] cumulative counts, [_sum], [_count]), ending
     with [# EOF].  Names are prefixed [jp_] with non-alphanumeric
     characters mapped to [_]; families are grouped counters, gauges,
     histograms, each sorted by name — the output is deterministic up to
     the recorded values. *)
-
-val write_exposition : path:string -> unit
-(** Write {!exposition} to [path] (truncating). *)
 
 val counter_events : base:float -> Jp_obs.Json.t list
 (** One Chrome-trace ["C"] (counter) event per gauge per snapshot, with

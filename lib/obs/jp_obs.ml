@@ -115,9 +115,8 @@ module C = struct
   (* Semantic cache (Jp_cache).  hit/miss count lookups, evict/reject
      count entries pushed out by the LANDLORD budget or refused by the
      cost-based admission test, invalidate counts entries dropped by view
-     updates; cache.bytes tracks the resident footprint (bumped by the
-     entry size on insert, by its negation on evict/invalidate, so the
-     counter value is the current gauge). *)
+     updates.  The resident footprint is a level, so it lives in
+     Jp_metrics as the cache.resident_bytes gauge. *)
   let cache_hits = counter "cache.hit"
 
   let cache_misses = counter "cache.miss"
@@ -128,14 +127,12 @@ module C = struct
 
   let cache_invalidations = counter "cache.invalidate"
 
-  let cache_bytes = counter "cache.bytes"
-
   (* Tiled heavy-part product (Jp_tile).  build/store_hit/evict count
      operand-tile traffic through the bounded resident store, product
-     counts output tiles computed; tile.bytes tracks the store's
-     resident footprint like cache.bytes, and tile.peak_bytes is the
-     monotone high-water mark of that footprint (bumped by the increase
-     only, so bench-cell deltas report the peak growth). *)
+     counts output tiles computed; tile.peak_bytes is the monotone
+     high-water mark of the store's resident footprint (bumped by the
+     increase only, so bench-cell deltas report the peak growth).  The
+     footprint itself is the Jp_metrics tile.resident_bytes gauge. *)
   let tile_builds = counter "tile.build"
 
   let tile_store_hits = counter "tile.store_hit"
@@ -143,8 +140,6 @@ module C = struct
   let tile_evictions = counter "tile.evict"
 
   let tile_products = counter "tile.product"
-
-  let tile_bytes = counter "tile.bytes"
 
   let tile_peak_bytes = counter "tile.peak_bytes"
 end

@@ -205,10 +205,6 @@ module C : sig
   val cache_invalidations : counter
   (** Entries dropped because a fingerprint was invalidated. *)
 
-  val cache_bytes : counter
-  (** Resident cache footprint gauge (insert adds the entry size,
-      evict/invalidate subtracts it). *)
-
   val tile_builds : counter
   (** Operand tiles built (or rebuilt after eviction) by [Jp_tile]. *)
 
@@ -221,14 +217,12 @@ module C : sig
   val tile_products : counter
   (** Output tiles computed by the tiled [mul]/[count_product]. *)
 
-  val tile_bytes : counter
-  (** Resident tile-store footprint gauge (build adds the tile size,
-      evict subtracts it), mirroring {!cache_bytes}. *)
-
   val tile_peak_bytes : counter
-  (** High-water mark of {!tile_bytes}: bumped by the increase whenever
-      the resident footprint sets a new maximum, so its value is the
-      peak and a bench cell's delta is the peak growth in that cell. *)
+  (** High-water mark of the resident tile-store footprint (the
+      [tile.resident_bytes] gauge of [Jp_metrics]): bumped by the
+      increase whenever the footprint sets a new maximum, so its value
+      is the peak and a bench cell's delta is the peak growth in that
+      cell. *)
 end
 
 (** {1 Plan vs actual} *)

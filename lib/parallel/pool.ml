@@ -57,14 +57,11 @@ let reraise_failure failure =
   | Some { error; bt; _ } -> Printexc.raise_with_backtrace error bt
   | None -> ()
 
-let check_cancel cancel =
-  match cancel with Some c -> Cancel.check c | None -> ()
-
 (* The one chunked loop: [step i j] over consecutive sub-ranges of
    [lo, hi) at most [chunk] long, polling [cancel] before each and
    stopping once it is cancelled or [step] returns [false].  An absent
    token is never polled.  Never raises on cancellation: the caller
-   follows with [check_cancel]. *)
+   follows with [Cancel.check_opt]. *)
 let chunked ?cancel ~chunk ~lo ~hi step =
   let chunk = max 1 chunk in
   let live () = match cancel with None -> true | Some c -> not (Cancel.is_cancelled c) in
@@ -85,7 +82,7 @@ let seq_ranges ?cancel ~chunk ~lo ~hi body =
       Jp_obs.incr Jp_obs.C.pool_tasks;
       body i j;
       true);
-  check_cancel cancel
+  Cancel.check_opt cancel
 
 let parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi body =
   if hi > lo then begin
@@ -118,7 +115,7 @@ let parallel_for_ranges ~domains ?chunk ?cancel ~lo ~hi body =
       in
       run_workers ~domains ~stop ~failure worker;
       reraise_failure failure;
-      check_cancel cancel
+      Cancel.check_opt cancel
     end
   end
 
@@ -138,4 +135,4 @@ let split_ranges ~domains ?cancel ~chunk ~lo ~hi ~alloc step =
     let per = (hi - lo + domains - 1) / domains in
     parallel_for_ranges ~domains ~chunk:per ?cancel ~lo ~hi worker
   end;
-  check_cancel cancel
+  Cancel.check_opt cancel

@@ -78,7 +78,7 @@ let permute_tuples t ~src_order ~dst_order ~dims =
     t;
   Tuples.build b
 
-let run_star ?domains ?guard ?cancel catalog q y parts =
+let run_star ?guard ?cancel catalog q y parts =
   ignore y;
   let resolve (name, orient, x) =
     match List.assoc_opt name catalog with
@@ -97,14 +97,14 @@ let run_star ?domains ?guard ?cancel catalog q y parts =
   | Ok resolved ->
     let rels = Array.of_list (List.map fst resolved) in
     let xs = Array.of_list (List.map snd resolved) in
-    let t = Joinproj.Star.project ?domains ?guard ?cancel rels in
+    let t = Joinproj.Star.project ?guard ?cancel rels in
     let dims = Array.map Relation.src_count rels in
     Ok (permute_tuples t ~src_order:xs ~dst_order:(Array.of_list q.Cq.head) ~dims)
 
 let run ?domains ?(policy = Planner.Cost_gate) ?guard ?cancel ?cache catalog q =
   match star_shape q with
   | Some (y, parts) when policy <> Planner.Never_mm ->
-    run_star ?domains ?guard ?cancel catalog q y parts
+    run_star ?guard ?cancel catalog q y parts
   | _ -> Planner.run ?domains ~policy ?guard ?cancel ?cache catalog q
 
 let boolean ?domains ?(policy = Planner.Cost_gate) ?guard ?cancel ?cache catalog

@@ -51,7 +51,8 @@ val run :
   (Jp_relation.Tuples.t, string) result
 (** Evaluates the query.  Head tuples come in head-variable order.
     [guard]/[cancel]/[cache] thread into the MM fragment engines and the
-    stitching phases with the byte-identical-when-absent guarantee.
+    stitching phases; absent, they leave the same results, the same work
+    counters, and end-to-end times within perfbench's bound.
     Errors on cyclic queries, unknown relations and empty heads (boolean
     queries are answered through {!boolean}). *)
 

@@ -262,7 +262,7 @@ let bag_of_fragment ?domains ?guard ?cancel ?cache catalog f =
       Ok (Bag.make ~vars !rows)
     end
     else begin
-      let tuples = Fragment.star ?domains ?guard ?cancel rels in
+      let tuples = Fragment.star ?guard ?cancel rels in
       let rows = ref [] in
       Tuples.iter (fun tup -> rows := Array.copy tup :: !rows) tuples;
       Ok (Bag.make ~vars !rows)

@@ -25,8 +25,9 @@
     a candidate whose atoms are already claimed is dropped.
 
     Execution threads the full context — [?guard], [?cancel], [?cache] —
-    into the fragment engines and the stitching phases, with the usual
-    byte-identical-when-absent guarantee. *)
+    into the fragment engines and the stitching phases.  Absent, they
+    leave the same results, the same work counters, and end-to-end times
+    within perfbench's bound. *)
 
 module Relation = Jp_relation.Relation
 module Cancel = Jp_util.Cancel
@@ -123,8 +124,9 @@ val run :
     {!Jp_cache.two_path_memo} hooks), then stitch with
     {!Yannakakis.run_bags}.  Head tuples come in head-variable order.
     Errors on cyclic queries, unknown relations and empty heads (use
-    {!boolean}).  Absent [guard]/[cancel]/[cache], every code path is
-    byte-identical to the plain one. *)
+    {!boolean}).  Absent [guard]/[cancel]/[cache], the results and work
+    counters are the plain path's and end-to-end times stay within
+    perfbench's bound. *)
 
 val boolean :
   ?machine:Jp_matrix.Cost.machine ->

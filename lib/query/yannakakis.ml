@@ -25,7 +25,6 @@ let load_bags catalog q =
    derived fragment output of any arity).  [cancel] is polled at the three
    phase boundaries, never per tuple. *)
 let evaluate_bags ?cancel ~head bags =
-  let poll () = match cancel with Some c -> Cancel.check c | None -> () in
   match Hypergraph.join_tree_sets (Array.map Bag.vars bags) with
   | None -> Error "query is cyclic (GYO reduction failed)"
   | Some tree ->
@@ -34,14 +33,14 @@ let evaluate_bags ?cancel ~head bags =
       List.filter (fun e -> tree.Hypergraph.parent.(e) >= 0) tree.Hypergraph.order
     in
     (* 1. bottom-up semijoin *)
-    poll ();
+    Cancel.check_opt cancel;
     List.iter
       (fun e ->
         let p = tree.Hypergraph.parent.(e) in
         bags.(p) <- Bag.semijoin bags.(p) bags.(e))
       non_root;
     (* 2. top-down semijoin *)
-    poll ();
+    Cancel.check_opt cancel;
     List.iter
       (fun e ->
         let p = tree.Hypergraph.parent.(e) in
@@ -50,7 +49,7 @@ let evaluate_bags ?cancel ~head bags =
     (* 3. bottom-up join with projection: keep head variables plus the
        parent's own columns (the running-intersection property makes
        them the only connectors to the rest of the tree) *)
-    poll ();
+    Cancel.check_opt cancel;
     List.iter
       (fun e ->
         let p = tree.Hypergraph.parent.(e) in

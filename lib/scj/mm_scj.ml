@@ -13,7 +13,7 @@ let join ?(domains = 1) ?guard ?cancel ?cache r =
         Joinproj.Two_path.project_counts ~domains ?guard ?cancel ?memo ~r ~s:r
           ()
       in
-      (match cancel with Some t -> Jp_util.Cancel.check t | None -> ());
+      Jp_util.Cancel.check_opt cancel;
       Jp_obs.span "scj.containment_filter" (fun () ->
           let rows =
             Array.init (Relation.src_count r) (fun _ -> Vec.create ~capacity:0 ())

@@ -18,5 +18,6 @@ val join :
 (** Directed containment pairs (a, b): set a ⊆ set b, a ≠ b.  [guard]
     supervises the underlying counted join-project
     (see {!Joinproj.Two_path.project_counts}); [cache] serves its
-    prepared statistics and heavy count product from {!Jp_cache} (same
-    byte-identical-result guarantee as [guard]/[cancel] when absent). *)
+    prepared statistics and heavy count product from {!Jp_cache}.  Like
+    [guard]/[cancel], an absent [cache] gives the same results, the same
+    work counters, and end-to-end times within perfbench's bound. *)

@@ -30,7 +30,8 @@
       passed ({!Expired_in_queue}, zero attempts), and under sustained
       overload browns out: every attempt runs the degraded safe plan
       (which also keeps results out of the cache).  Controller absent ⇒
-      byte-identical paths.
+      same results, same work counters, end-to-end times within
+      perfbench's bound.
     - {b Caching}: a query submitted with a {!Jp_cache.binding} consults
       the cache {e before} dispatch — a hit resolves immediately, with no
       queue slot or worker attempt — and publishes its result after
@@ -76,8 +77,9 @@ type config = {
       (** deadline for queries submitted without one *)
   chaos : Jp_chaos.config option;  (** arm fault injection on every attempt *)
   controller : Overload.config option;
-      (** arm the overload controller.  [None] (the default) leaves every
-          path byte-identical to the uncontrolled service: no {!Shed} or
+      (** arm the overload controller.  [None] (the default) behaves as
+          the uncontrolled service: same results, same work counters,
+          end-to-end times within perfbench's bound, and no {!Shed} or
           {!Expired_in_queue} outcomes, no estimator, no brownout. *)
 }
 

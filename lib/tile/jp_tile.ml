@@ -204,10 +204,7 @@ let store_fetch st idx build =
     in
     Obs.incr Obs.C.tile_builds;
     if evicted > 0 then Obs.add Obs.C.tile_evictions evicted;
-    if delta <> 0 then begin
-      Obs.add Obs.C.tile_bytes delta;
-      Metrics.add_gauge Metrics.G.tile_bytes delta
-    end;
+    if delta <> 0 then Metrics.add_gauge Metrics.G.tile_bytes delta;
     if grew > 0 then Obs.add Obs.C.tile_peak_bytes grew;
     tile
 
@@ -223,17 +220,12 @@ let store_drain st =
           st.slots;
         b)
   in
-  if bytes <> 0 then begin
-    Obs.add Obs.C.tile_bytes (-bytes);
-    Metrics.add_gauge Metrics.G.tile_bytes (-bytes)
-  end
+  if bytes <> 0 then Metrics.add_gauge Metrics.G.tile_bytes (-bytes)
 
 (* ------------------------------------------------------------------ *)
 (* Product schedule                                                    *)
 
 let run_checkpoint = function Some f -> f () | None -> ()
-
-let check_cancel = function Some c -> Cancel.check c | None -> ()
 
 (* Boolean product: output tile (ti, tj) is the OR over inner blocks k
    of A(ti,k)·B(k,tj), accumulated into a th×tw scratch and OR-blitted
@@ -309,7 +301,7 @@ let mul ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
         in
         Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
         store_drain store;
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         result
       end)
 
@@ -386,6 +378,6 @@ let count_product ?(domains = 1) ?cancel ?checkpoint ?memo cfg (a : Source.t)
         in
         Pool.parallel_for ~domains ~chunk:1 ?cancel ~lo:0 ~hi:(t_i * t_j) body;
         store_drain store;
-        check_cancel cancel;
+        Cancel.check_opt cancel;
         result
       end)

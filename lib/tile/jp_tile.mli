@@ -18,8 +18,8 @@
       guard checkpoint and one memo-hook consultation {e per tile} —
       never per word (jp_lint's [hot-poll] cadence).  [tile.*] counters
       track tile builds / store hits / evictions / products and the
-      resident footprint ([tile.bytes] + its [tile.peak_bytes]
-      high-water mark, mirrored into the [tile.resident_bytes] gauge).
+      resident footprint's [tile.peak_bytes] high-water mark; the
+      footprint itself is the [tile.resident_bytes] gauge.
 
     Results are bit-equal to the flat kernels for every tile size,
     budget and domain count: boolean tiles OR-blit into the result rows

@@ -46,12 +46,11 @@ val check : t -> unit
 (** Poll like {!is_cancelled} but raise {!Cancelled} when the token is
     cancelled — the coordinator-side checkpoint. *)
 
+val check_opt : t option -> unit
+(** {!check} when a token is present; an absent token is never polled. *)
+
 val reason : t -> reason option
 (** [None] while live.  Does not run the hook. *)
-
-val remaining_s : t -> float
-(** Seconds until the deadline ([infinity] without one, [0.] once
-    expired or cancelled). *)
 
 val set_hook : t -> (unit -> unit) -> unit
 (** Install the poll hook (chaos injection; the callback may raise and

@@ -188,6 +188,8 @@ let suite =
       (check_fires "hot-poll" "bad_tile_poll");
     Alcotest.test_case "hot-poll negative on per-tile cadence" `Quick
       (check_clean "hot-poll" "ok_tile_poll");
+    Alcotest.test_case "hot-poll fires on Cancel.check_opt" `Quick
+      (check_fires "hot-poll" "bad_opt_poll");
     Alcotest.test_case "hot-poll fires on Jp_metrics" `Quick
       (check_fires "hot-poll" "bad_metrics_poll");
     Alcotest.test_case "hot-poll negative on Jp_metrics.Local" `Quick

@@ -296,9 +296,9 @@ let test_exposition_counters () =
         (List.mem "# TYPE jp_service_submitted counter" ls);
       Alcotest.(check bool) "counter sample uses _total" true
         (List.mem "jp_service_submitted_total 2" ls);
-      (* the cache footprint counter is a level, typed gauge *)
+      (* the cache footprint is a level, exported as a gauge *)
       Alcotest.(check bool) "cache.bytes typed gauge" true
-        (List.mem "# TYPE jp_cache_bytes gauge" ls))
+        (List.mem "# TYPE jp_cache_resident_bytes gauge" ls))
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in

@@ -655,6 +655,99 @@ let test_open_loop_deterministic () =
   let b = run () in
   Alcotest.(check bool) "same seeds, same outcome shapes" true (a = b)
 
+(* ------------------------------------------------------------------ *)
+(* Jp_served: the one served-workload driver behind serve/stress and    *)
+(* the ABL-LOAD/CHAOS/CACHE cells.  Both clients are a pure function of *)
+(* the seeds (no deadlines, so nothing depends on the wall clock), and  *)
+(* the verdict is what the CLI's wrong-answer and leaked-domain exits    *)
+(* read.                                                                *)
+(* ------------------------------------------------------------------ *)
+
+module Served = Jp_served
+
+let served_workload () =
+  Served.create ~flavour:Served.Auto (Served.sample ~seed:3 5 (small Presets.Jokes))
+
+(* Twelve queries over five identities, so repeats exist for the cache. *)
+let served_ident = Array.init 12 (fun i -> i * 7 mod 5)
+
+let served_cfg =
+  { Service.default with
+    Service.chaos = Some { (Chaos.default 6) with Chaos.p_transient = 0.4 };
+    Service.backoff_s = 0.0002;
+    Service.queue_capacity = 2 * Array.length served_ident;
+    Service.controller = Some Overload.default }
+
+(* One client run on a fresh service, judged after shutdown. *)
+let serve_with cfg w client =
+  let svc = Service.create cfg in
+  let run = Fun.protect ~finally:(fun () -> Service.shutdown svc) (fun () -> client svc) in
+  Served.verdict w run
+
+let test_served_deterministic () =
+  let w = served_workload () in
+  let schedule =
+    Arrivals.schedule ~process:Arrivals.Poisson ~seed:5 ~rate:400.0
+      ~count:(Array.length served_ident) ()
+  in
+  List.iter
+    (fun (name, client) ->
+      let once () =
+        with_recording (fun () ->
+            let v = serve_with served_cfg w client in
+            Alcotest.(check int) (name ^ ": no wrong answers") 0 v.Served.wrong;
+            Alcotest.(check bool) (name ^ ": workers spawned") true (v.Served.spawned > 0);
+            Alcotest.(check int) (name ^ ": no leaked domains") v.Served.spawned
+              v.Served.joined;
+            let reports = v.Served.run.Served.reports in
+            Alcotest.(check bool) (name ^ ": chaos fired") true
+              (Array.exists (fun rep -> rep.Service.retries > 0) reports);
+            Array.map (fun rep -> (shape rep, rep.Service.cache_hit)) reports)
+      in
+      let a = once () in
+      Alcotest.(check bool) (name ^ ": same seeds, same reports") true (a = once ());
+      Alcotest.(check bool) (name ^ ": cache hits iff armed") (name = "closed")
+        (Array.exists snd a))
+    [
+      ("closed", fun svc -> Served.closed ~cache:(Jp_cache.create ()) w svc served_ident);
+      ("open", fun svc -> Served.open_loop w svc ~schedule served_ident);
+    ]
+
+(* The CLI exits 1 when the verdict counts a wrong answer: an answer one
+   off from the expected one must be counted. *)
+let test_served_counts_wrong () =
+  let w = served_workload () in
+  let v = serve_with Service.default w (fun svc -> Served.closed w svc [| 0; 1; 2 |]) in
+  Alcotest.(check int) "all answers right" 0 v.Served.wrong;
+  Alcotest.(check int) "all completed" 3 v.Served.completed;
+  let off_by_one (rep : int Service.report) =
+    { rep with Service.outcome = Result.map succ rep.Service.outcome }
+  in
+  let run = v.Served.run in
+  let v' =
+    Served.verdict w
+      { run with Served.reports = Array.map off_by_one run.Served.reports }
+  in
+  Alcotest.(check int) "every off-by-one answer is wrong" 3 v'.Served.wrong
+
+(* A one-slot queue under a fast open-loop schedule rejects some queries
+   at admission; every submission still lands in exactly one outcome. *)
+let test_served_open_tally () =
+  let w = served_workload () in
+  let nq = 16 in
+  let ident = Array.init nq (fun i -> i mod 5) in
+  let cfg = { Service.default with Service.queue_capacity = 1 } in
+  let schedule = Arrivals.schedule ~rate:5000.0 ~count:nq () in
+  let v = serve_with cfg w (fun svc -> Served.open_loop w svc ~schedule ident) in
+  let count k = Jp_metrics.Hist.count (Served.outcome v k) in
+  Alcotest.(check int) "tally sums to the submissions" nq
+    (List.fold_left (fun acc (_, h) -> acc + Jp_metrics.Hist.count h) 0 v.Served.outcomes);
+  Alcotest.(check int) "ok + hit = completed" v.Served.completed (count "ok" + count "hit");
+  Alcotest.(check int) "admitted = submitted - rejected"
+    (nq - count "overloaded" - count "shed")
+    (Jp_metrics.Hist.count v.Served.ran);
+  Alcotest.(check int) "no wrong answers" 0 v.Served.wrong
+
 let suite =
   [
     Alcotest.test_case "cancel token inert" `Quick test_cancel_token_inert;
@@ -679,4 +772,7 @@ let suite =
     Alcotest.test_case "expired in queue" `Quick test_expired_in_queue;
     Alcotest.test_case "brownout degrades, no publish" `Quick test_brownout_degrades_no_publish;
     Alcotest.test_case "open-loop deterministic" `Quick test_open_loop_deterministic;
+    Alcotest.test_case "served driver deterministic" `Quick test_served_deterministic;
+    Alcotest.test_case "served verdict counts wrong" `Quick test_served_counts_wrong;
+    Alcotest.test_case "served open-loop tally" `Quick test_served_open_tally;
   ]

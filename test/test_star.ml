@@ -71,18 +71,6 @@ let test_star_default_thresholds () =
     "default thresholds correct" (brute rels)
     (Tuples.to_list (Star.project rels))
 
-let test_star_parallel () =
-  let rels =
-    [|
-      Gen.skewed_relation ~seed:77 ~nx:16 ~ny:14 ~edges:100 ();
-      Gen.skewed_relation ~seed:78 ~nx:15 ~ny:14 ~edges:95 ();
-      Gen.skewed_relation ~seed:79 ~nx:14 ~ny:14 ~edges:90 ();
-    |]
-  in
-  let seq = Star.project ~thresholds:(2, 2) rels in
-  let par = Star.project ~domains:4 ~thresholds:(2, 2) rels in
-  Alcotest.(check bool) "parallel = sequential" true (Tuples.equal seq par)
-
 (* Mixed y domains, as produced by the query engine's mixed-orientation
    stars (some atoms transposed): relations whose dst counts differ.
    Regression: the heavy residue used to index adjacency past the smaller
@@ -108,7 +96,6 @@ let suite =
     Alcotest.test_case "star k=2 = two-path" `Quick test_star2_matches_two_path;
     Alcotest.test_case "star self join" `Quick test_star_self_join;
     Alcotest.test_case "star default thresholds" `Quick test_star_default_thresholds;
-    Alcotest.test_case "star parallel" `Quick test_star_parallel;
     Alcotest.test_case "star mixed dst counts" `Quick test_star_mixed_dst_counts;
     Alcotest.test_case "star arity guard" `Quick test_star_arity_guard;
   ]

@@ -9,6 +9,7 @@ let poll_functions =
   [
     "Jp_util.Cancel.is_cancelled";
     "Jp_util.Cancel.check";
+    "Jp_util.Cancel.check_opt";
     "Jp_obs.incr";
     "Jp_obs.add";
     "Jp_obs.span";
