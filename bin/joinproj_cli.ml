@@ -109,8 +109,7 @@ let tiled_flag =
     & info [ "tiled" ]
         ~doc:
           "Stream the heavy-part matrix product through the tiled kernel \
-           ($(b,Jp_tile)) even below the size threshold; results are \
-           bit-equal to the flat kernels.")
+           ($(b,Jp_tile)); results are bit-equal to the flat kernels.")
 
 let tile_bits_arg =
   Arg.(
@@ -142,7 +141,7 @@ let tile_of tiled tile_bits max_resident_mb =
          ?tile_bits
          ?budget_bytes:
            (Option.map (fun mb -> mb * 1024 * 1024) max_resident_mb)
-         ~force:true ())
+         ())
 
 (* [--cache-mb]: 0 disables the semantic cache. *)
 let cache_of mb =

@@ -1,7 +1,4 @@
 module Relation = Jp_relation.Relation
-module Pairs = Jp_relation.Pairs
-module Tuples = Jp_relation.Tuples
-module Cancel = Jp_util.Cancel
 
 type gate = { mm : bool; est_mm_s : float; est_safe_s : float }
 
@@ -34,8 +31,3 @@ let gate_star ?machine ?domains rels =
     else if sz > Relation.size rels.(!second) then second := i
   done;
   gate_two_path ?machine ?domains ~r:rels.(!best) ~s:rels.(!second) ()
-
-let two_path ?domains ?guard ?cancel ?memo ?tile ~r ~s () =
-  Two_path.project ?domains ?guard ?cancel ?memo ?tile ~r ~s ()
-
-let star ?guard ?cancel rels = Star.project ?guard ?cancel rels

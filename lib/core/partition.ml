@@ -58,6 +58,9 @@ let make ?cancel ~r ~s ~d1 ~d2 () =
   Jp_util.Cancel.check_opt cancel;
   Jp_obs.span "partition.make" (fun () -> make_unspanned ~r ~s ~d1 ~d2)
 
+let of_join_variable ~r ~s ~d1 =
+  Jp_obs.span "partition.make" (fun () -> make_unspanned ~r ~s ~d1 ~d2:0)
+
 let is_light_y t y = y >= Array.length t.light_y || t.light_y.(y)
 
 let pp fmt t =

@@ -41,6 +41,12 @@ val make :
 (** [cancel] is checked once at entry — the partition scan is a single
     O(N) phase. *)
 
+val of_join_variable : r:Relation.t -> s:Relation.t -> d1:int -> t
+(** The witness-count variant's partition: only y is thresholded, and
+    every endpoint adjacent to a heavy y is heavy (Δ₂ = 0, which {!make}
+    refuses for callers' thresholds).  Counts need every heavy witness
+    in the product, not only those between heavy endpoints. *)
+
 val is_light_y : t -> int -> bool
 (** Total over the y id space (ids beyond both relations are light: they
     have no tuples at all). *)

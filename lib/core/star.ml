@@ -18,14 +18,12 @@ let maybe_check cancel i =
   | Some c when i land (poll_every - 1) = 0 -> Cancel.check c
   | _ -> ()
 
-let full_join_size rels = Jp_wcoj.Star.join_size rels
-
 (* Engineering heuristic (the paper derives closed forms per |OUT| regime,
    Example 4): tie both thresholds to the average y-degree sqrt(J/N), so
    the light enumeration N·Δ₁^(k-1) and the heavy matrix shrink together;
    clamp to a sane range. *)
 let choose_thresholds rels =
-  let j = full_join_size rels in
+  let j = Jp_wcoj.Star.join_size rels in
   let n = Array.fold_left (fun acc r -> max acc (Relation.size r)) 1 rels in
   let d = int_of_float (sqrt (float_of_int j /. float_of_int n)) in
   let d = max 2 (min 256 d) in
@@ -143,17 +141,6 @@ let heavy_matrix_step ?cancel ~builder ~heavy_lists ~qualifying_ys ~dims k
       done
     end
 
-(* As in Two_path: wall-clock phases feeding the plan-vs-actual record,
-   measured only while recording. *)
-let phase phases name f =
-  if Obs.recording () then begin
-    let t0 = Jp_util.Timer.now () in
-    let x = f () in
-    phases := (name, Jp_util.Timer.now () -. t0) :: !phases;
-    x
-  end
-  else f ()
-
 let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   let module Guard = Jp_adaptive.Guard in
   let k = Array.length rels in
@@ -188,7 +175,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
     !ok
   in
   (* Step 1: light-x sub-joins. *)
-  phase phases "light-x" (fun () ->
+  Obs.phase phases "light-x" (fun () ->
       for j = 0 to k - 1 do
         Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
@@ -196,7 +183,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
           rels add
       done);
   (* Step 2: light-y sub-joins. *)
-  phase phases "light-y" (fun () ->
+  Obs.phase phases "light-y" (fun () ->
       for j = 0 to k - 1 do
         Cancel.check_opt cancel;
         Jp_wcoj.Star.iter_full
@@ -219,7 +206,7 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
       rels
   in
   let qualifying_ys =
-    phase phases "qualify" (fun () ->
+    Obs.phase phases "qualify" (fun () ->
         let qualifying = Vec.create () in
         for y = 0 to ny - 1 do
           maybe_check cancel y;
@@ -272,23 +259,24 @@ let project_impl ~strategy ~thresholds ~guard ~cancel rels =
   Cancel.check_opt cancel;
   (match strategy with
   | Combinatorial ->
-    phase phases "heavy-comb" (fun () -> combinatorial_heavy ())
+    Obs.phase phases "heavy-comb" (fun () -> combinatorial_heavy ())
   | Matrix -> (
     try
-      phase phases "heavy-mm" (fun () ->
+      Obs.phase phases "heavy-mm" (fun () ->
           Obs.span "star.heavy_mm" (fun () ->
               heavy_matrix_step ?cancel ~builder ~heavy_lists ~qualifying_ys
                 ~dims k ~combo_cap ()));
       heavy_path := "mm"
     with Matrix_overflow ->
       (match g with Some g -> Guard.note_degrade g | None -> ());
-      phase phases "heavy-comb" (fun () -> combinatorial_heavy ())));
-  let result = phase phases "build" (fun () -> Tuples.build builder) in
+      Obs.phase phases "heavy-comb" (fun () -> combinatorial_heavy ())));
+  let result = Obs.phase phases "build" (fun () -> Tuples.build builder) in
   if Obs.recording () then
     Obs.record_plan ~label:"star"
       ~degraded:(match g with Some g -> Guard.degraded g | None -> false)
       ~decision:(Printf.sprintf "star-%s(d1=%d,d2=%d)" !heavy_path d1 d2)
-      ~est_out:(-1) ~join_size:(full_join_size rels) ~est_seconds:Float.nan
+      ~est_out:(-1) ~join_size:(Jp_wcoj.Star.join_size rels)
+      ~est_seconds:Float.nan
       ~actual_out:(Tuples.count result)
       ~actual_seconds:(Jp_util.Timer.now () -. t_start)
       ~phases:(List.rev !phases) ();

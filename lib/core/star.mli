@@ -56,5 +56,3 @@ val choose_thresholds : Relation.t array -> int * int
     matrix work, using the k=2 estimator pessimistically lifted to k
     relations. *)
 
-val full_join_size : Relation.t array -> int
-(** |OUT{_⋈}| of the full star join. *)

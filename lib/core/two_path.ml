@@ -7,6 +7,7 @@ module Vec = Jp_util.Vec
 module Bitset = Jp_util.Bitset
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
+module Source = Jp_tile.Source
 
 type strategy = Matrix | Combinatorial
 
@@ -55,124 +56,97 @@ let no_memo =
    stale stamps cannot collide.  An absent token is never polled. *)
 let poll_rows = 4096
 
-(* Measures one engine phase for the plan-vs-actual record; [f] may open
-   its own spans, so this deliberately does not open one.  Top-level (and
-   handed the accumulator explicitly) to stay polymorphic in the phase's
-   result type. *)
-let phase phases name f =
-  if Obs.recording () then begin
-    let t0 = Jp_util.Timer.now () in
-    let x = f () in
-    phases := (name, Jp_util.Timer.now () -. t0) :: !phases;
-    x
-  end
-  else f ()
+(* ------------------------------------------------------------------ *)
+(* The heavy product                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The heavy product's operands (Section 3.1) as row views over a
+   partition, fed unchanged to the flat build and to the tiled kernel.
+   Heavy endpoints [ids] of [rel] → heavy-y positions: x rows of R (left
+   operand of both kinds) or z rows of S (the count product's right
+   operand, which [Boolmat.count_product] takes transposed). *)
+let endpoint_rows rel ids (p : Partition.t) =
+  Source.of_rows ~rows:(Array.length ids) ~cols:(Array.length p.heavy_y)
+    (fun i f ->
+      Array.iter
+        (fun b ->
+          let j = p.y_index.(b) in
+          if j >= 0 then f j)
+        (Relation.adj_src rel ids.(i)))
+
+(* Heavy y → heavy-z positions: the boolean product's right operand. *)
+let y_rows ~s (p : Partition.t) =
+  Source.of_rows ~rows:(Array.length p.heavy_y) ~cols:(Array.length p.heavy_z)
+    (fun j f ->
+      let y = p.heavy_y.(j) in
+      if y < Relation.dst_count s then
+        Array.iter
+          (fun c ->
+            let l = p.z_index.(c) in
+            if l >= 0 then f l)
+          (Relation.adj_dst s y))
+
+(* The flat build writes each position straight into its bitset row. *)
+let materialize o =
+  let m = Boolmat.create ~rows:(Source.rows o) ~cols:(Source.cols o) in
+  for i = 0 to Source.rows o - 1 do
+    Source.row o i (Boolmat.set m i)
+  done;
+  m
+
+let flat_product kernel a b =
+  Obs.span "two_path.heavy_mm" (fun () ->
+      let ma, mb =
+        Obs.span "two_path.operands" (fun () -> (materialize a, materialize b))
+      in
+      kernel ma mb)
+
+(* The one tile decision: with [?tile], [Jp_tile] streams the product
+   from the operand rows (tiles built on demand through its bounded
+   store, memoized per output tile); without, the flat kernel runs
+   behind the whole-product memo hook, whose hit skips the build. *)
+let product ~tile ~whole ~flat ~tiled a b =
+  match tile with
+  | None -> whole (fun () -> flat_product flat a b)
+  | Some cfg -> Obs.span "two_path.heavy_mm" (fun () -> tiled cfg a b)
+
+(* Public: the BSI fast path builds (and caches) the same product over a
+   full-relation partition, answering heavy-heavy point queries straight
+   from its bits. *)
+let heavy_product ?(domains = 1) ~r ~s (p : Partition.t) =
+  flat_product (Boolmat.mul ~domains)
+    (endpoint_rows r p.heavy_x p)
+    (y_rows ~s p)
+
+let bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
+    (p : Partition.t) =
+  let d1 = p.d1 and d2 = p.d2 in
+  product ~tile
+    ~whole:(memo.memo_bool_product ~d1 ~d2)
+    ~flat:(Boolmat.mul ~domains)
+    ~tiled:(fun cfg ->
+      Jp_tile.mul ~domains ?cancel ?checkpoint
+        ~memo:(memo.memo_bool_tile ~d1 ~d2 ~tile_bits:cfg.Jp_tile.tile_bits)
+        cfg)
+    (endpoint_rows r p.heavy_x p) (y_rows ~s p)
+
+(* The count product A·Bᵀ over bit-packed rows (62 multiply-adds per
+   word op): A rows are x's heavy-y sets, B rows are z's. *)
+let count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
+    (p : Partition.t) =
+  let d1 = p.d1 in
+  product ~tile
+    ~whole:(memo.memo_count_product ~d1)
+    ~flat:(Boolmat.count_product ~domains)
+    ~tiled:(fun cfg ->
+      Jp_tile.count_product ~domains ?cancel ?checkpoint
+        ~memo:(memo.memo_count_tile ~d1 ~tile_bits:cfg.Jp_tile.tile_bits)
+        cfg)
+    (endpoint_rows r p.heavy_x p) (endpoint_rows s p.heavy_z p)
 
 (* ------------------------------------------------------------------ *)
 (* Boolean (dedup-only) evaluation                                     *)
 (* ------------------------------------------------------------------ *)
-
-(* Heavy adjacency matrices of R+ and S+ (Section 3.1): rows/columns are
-   the pruned heavy value lists of the partition. *)
-let heavy_matrices ~domains ~r ~s (p : Partition.t) =
-  Obs.span "two_path.heavy_mm" (fun () ->
-      let m1 =
-        Boolmat.create ~rows:(Array.length p.heavy_x)
-          ~cols:(Array.length p.heavy_y)
-      in
-      Array.iteri
-        (fun i a ->
-          Array.iter
-            (fun b ->
-              let j = p.y_index.(b) in
-              if j >= 0 then Boolmat.set m1 i j)
-            (Relation.adj_src r a))
-        p.heavy_x;
-      let m2 =
-        Boolmat.create ~rows:(Array.length p.heavy_y)
-          ~cols:(Array.length p.heavy_z)
-      in
-      Array.iteri
-        (fun j b ->
-          if b < Relation.dst_count s then
-            Array.iter
-              (fun c ->
-                let l = p.z_index.(c) in
-                if l >= 0 then Boolmat.set m2 j l)
-              (Relation.adj_dst s b))
-        p.heavy_y;
-      Boolmat.mul ~domains m1 m2)
-
-(* Public alias: the BSI fast path builds (and caches) the same product
-   over a full-relation partition, answering heavy-heavy point queries
-   straight from its bits. *)
-let heavy_product ?(domains = 1) ~r ~s p = heavy_matrices ~domains ~r ~s p
-
-(* Tiled sibling of [heavy_matrices]: the operands are handed to
-   [Jp_tile] as lazy adjacency sources, so the full M₁/M₂ are never
-   materialized — tiles are built on demand and stream through the
-   bounded resident store.  Deterministic in (r, s, thresholds,
-   tile_bits), independent of domains and budget, and bit-equal to
-   [heavy_matrices]. *)
-let heavy_matrices_tiled ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
-    (p : Partition.t) =
-  Obs.span "two_path.heavy_mm" (fun () ->
-      let u = Array.length p.heavy_x
-      and v = Array.length p.heavy_y
-      and w = Array.length p.heavy_z in
-      let src_a =
-        Jp_tile.Source.of_adjacency ~rows:u ~cols:v (fun i ->
-            let bits = Vec.create () in
-            Array.iter
-              (fun b ->
-                let j = p.y_index.(b) in
-                if j >= 0 then Vec.push bits j)
-              (Relation.adj_src r p.heavy_x.(i));
-            Vec.to_array bits)
-      in
-      let src_b =
-        Jp_tile.Source.of_adjacency ~rows:v ~cols:w (fun j ->
-            let bits = Vec.create () in
-            let y = p.heavy_y.(j) in
-            if y < Relation.dst_count s then
-              Array.iter
-                (fun c ->
-                  let l = p.z_index.(c) in
-                  if l >= 0 then Vec.push bits l)
-                (Relation.adj_dst s y);
-            Vec.to_array bits)
-      in
-      Jp_tile.mul ~domains ?cancel ?checkpoint
-        ~memo:
-          (memo.memo_bool_tile ~d1:p.Partition.d1 ~d2:p.Partition.d2
-             ~tile_bits:tile.Jp_tile.tile_bits)
-        tile src_a src_b)
-
-(* The heavy boolean product behind the tiling gate: with a [?tile]
-   config present and the cost model agreeing (operands big enough, or
-   bigger than the configured resident budget), stream through
-   [Jp_tile] with per-tile memo keys; otherwise the flat kernel behind
-   the whole-product memo hook. *)
-let heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s
-    (p : Partition.t) =
-  let tiled =
-    match tile with
-    | None -> None
-    | Some cfg ->
-      if
-        cfg.Jp_tile.force
-        || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
-             Jp_matrix.Cost.Boolean ~u:(Array.length p.heavy_x)
-             ~v:(Array.length p.heavy_y) ~w:(Array.length p.heavy_z) ()
-      then Some cfg
-      else None
-  in
-  match tiled with
-  | Some cfg ->
-    heavy_matrices_tiled ?cancel ?checkpoint ~tile:cfg ~memo ~domains ~r ~s p
-  | None ->
-    memo.memo_bool_product ~d1:p.Partition.d1 ~d2:p.Partition.d2 (fun () ->
-        heavy_matrices ~domains ~r ~s p)
 
 (* For heavy y values, pre-filter S's inverted list to its light-z
    ([light] set) or heavy-z half once (O(N)); the per-x merge loop would
@@ -372,16 +346,6 @@ let partition_cells (p : Partition.t) =
   and w = Array.length p.heavy_z in
   (u * v) + (v * w) + (u * w)
 
-(* The statistics the initial plan sees: a guard's injected
-   misestimation, or the optimizer's own when there is no guard. *)
-let injected_stats g prep =
-  match g with
-  | None -> (None, None)
-  | Some g ->
-    let inj = Jp_adaptive.Guard.inject g in
-    ( Some (Jp_adaptive.Inject.out inj (Optimizer.estimated_out prep)),
-      Some inj.Jp_adaptive.Inject.mm_factor )
-
 (* A time-budget checkpoint that only records its outcome: once the
    matrices are built (or on the safe Wcoj path) nothing cheaper
    remains, so a blown budget cannot change the plan. *)
@@ -445,7 +409,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
   in
   let expand_into lo hi =
     if hi > lo then
-      phase phases "wcoj" (fun () ->
+      Obs.phase phases "wcoj" (fun () ->
           if lo = 0 && hi = nx then
             whole := Some (Jp_wcoj.Expand.project ~domains ?cancel ~r ~s ())
           else begin
@@ -460,7 +424,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
           end)
   in
   let replan est_out =
-    phase phases "replan" (fun () ->
+    Obs.phase phases "replan" (fun () ->
         Option.iter Guard.note_replan g;
         Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ~est_out
           (Lazy.force prep) ())
@@ -508,7 +472,8 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
   and run_partitioned plan ~d1 ~d2 lo =
     Cancel.check_opt cancel;
     let p =
-      phase phases "partition" (fun () -> Partition.make ?cancel ~r ~s ~d1 ~d2 ())
+      Obs.phase phases "partition" (fun () ->
+          Partition.make ?cancel ~r ~s ~d1 ~d2 ())
     in
     let replan_on_cost =
       match g with
@@ -539,9 +504,8 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
       | Matrix ->
         let checkpoint = Option.map (fun g () -> note_budget g) caller_guard in
         Some
-          (phase phases "heavy-mm" (fun () ->
-               heavy_bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r
-                 ~s p))
+          (Obs.phase phases "heavy-mm" (fun () ->
+               bool_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s p))
       | Combinatorial -> None
     in
     Cancel.check_opt cancel;
@@ -567,7 +531,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
         end
       | Guard.Continue | Guard.Degrade -> true
     in
-    phase phases "light-merge" (fun () ->
+    Obs.phase phases "light-merge" (fun () ->
         Obs.span "two_path.light_merge" (fun () ->
             let s_light_of_heavy_y = filter_heavy_s ~r ~s ~light:true p in
             let heavy =
@@ -602,45 +566,62 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
   | Some out -> out
   | None -> Pairs.of_rows_unchecked (Lazy.force rows)
 
-let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
-    ?tile ~r ~s () =
+(* The frame both entry points share: the engine span, [Guard.start],
+   [prepare] built at most once (the initial plan forces it and every
+   checkpoint re-plan reuses it), the initial plan from [planner] given
+   a guard's injected misestimation (the optimizer's own statistics
+   without a guard), and the plan-vs-actual record.  [run] returns the
+   answer and the plan to record. *)
+let with_plan ~span ~label ~memo ~plan ~guard ~planner ~count ~r ~s run =
   let module Guard = Jp_adaptive.Guard in
-  let memo = match memo with Some m -> m | None -> no_memo in
-  Obs.span "two_path.project" (fun () ->
+  Obs.span span (fun () ->
       let t0 = Jp_util.Timer.now () in
       let phases = ref [] in
       let g = Option.map Guard.start guard in
-      (* Built at most once per invocation: the initial plan forces it,
-         and every later checkpoint re-plan reuses it. *)
       let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
       let plan =
         match plan with
         | Some p -> p
         | None ->
-          phase phases "plan" (fun () ->
+          Obs.phase phases "plan" (fun () ->
               let prep = Lazy.force prep in
-              let est_out, mm_cost_scale = injected_stats g prep in
-              Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean
-                ?est_out ?mm_cost_scale prep ())
+              match g with
+              | None -> planner None None prep
+              | Some g ->
+                let inj = Guard.inject g in
+                let est_out = Optimizer.estimated_out prep in
+                planner
+                  (Some (Jp_adaptive.Inject.out inj est_out))
+                  (Some inj.Jp_adaptive.Inject.mm_factor) prep)
       in
-      let result =
-        run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
-          ~s plan
-      in
+      let result, (plan : Optimizer.plan) = run ~g ~prep ~phases plan in
       if Obs.recording () then begin
         let replanned, degraded =
           match g with
           | Some g -> (Guard.replanned g, Guard.degraded g)
           | None -> (false, false)
         in
-        Obs.record_plan ~label:"two_path" ~replanned ~degraded
+        Obs.record_plan ~label ~replanned ~degraded
           ~decision:(Optimizer.decision_to_string plan.decision)
           ~est_out:plan.est_out ~join_size:plan.join_size
-          ~est_seconds:plan.est_seconds ~actual_out:(Pairs.count result)
+          ~est_seconds:plan.est_seconds ~actual_out:(count result)
           ~actual_seconds:(Jp_util.Timer.now () -. t0)
           ~phases:(List.rev !phases) ()
       end;
       result)
+
+let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
+    ?tile ~r ~s () =
+  let memo = Option.value memo ~default:no_memo in
+  with_plan ~span:"two_path.project" ~label:"two_path" ~memo ~plan ~guard
+    ~planner:(fun est_out mm_cost_scale prep ->
+      Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ?est_out
+        ?mm_cost_scale prep ())
+    ~count:Pairs.count ~r ~s
+    (fun ~g ~prep ~phases plan ->
+      ( run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r
+          ~s plan,
+        plan ))
 
 let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
     ?tile ~r ~s () =
@@ -659,101 +640,23 @@ let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
    degradation. *)
 let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
     ~d1 ~cap () =
-  let ny = max (Relation.dst_count r) (Relation.dst_count s) in
-  let deg_ry y = if y < Relation.dst_count r then Relation.deg_dst r y else 0 in
-  let deg_sy y = if y < Relation.dst_count s then Relation.deg_dst s y else 0 in
-  let light_y = Array.init ny (fun y -> deg_ry y <= d1 || deg_sy y <= d1) in
-  (* Matrix dimensions: endpoints adjacent to at least one heavy y. *)
-  let heavy_y = Vec.create () in
-  Array.iteri (fun y light -> if not light then Vec.push heavy_y y) light_y;
-  let heavy_y = Vec.to_array heavy_y in
-  let touched rel =
-    let seen = Array.make (Relation.src_count rel) false in
-    Array.iter
-      (fun b ->
-        if b < Relation.dst_count rel then
-          Array.iter (fun a -> seen.(a) <- true) (Relation.adj_dst rel b))
-      heavy_y;
-    let ids = Vec.create () in
-    Array.iteri (fun a hit -> if hit then Vec.push ids a) seen;
-    Vec.to_array ids
-  in
-  let hx = touched r and hz = touched s in
-  let u = Array.length hx and v = Array.length heavy_y and w = Array.length hz in
-  let fits = u * v <= cap && v * w <= cap && u * w <= cap in
-  let use_matrix = v > 0 && fits in
-  let x_index = Array.make (Relation.src_count r) (-1) in
-  Array.iteri (fun i a -> x_index.(a) <- i) hx;
-  let tiled =
-    match tile with
-    | None -> None
-    | Some cfg ->
-      if
-        cfg.Jp_tile.force
-        || Jp_matrix.Cost.should_tile ?budget_bytes:cfg.Jp_tile.budget_bytes
-             Jp_matrix.Cost.Count ~u ~v ~w ()
-      then Some cfg
-      else None
-  in
+  let p = Partition.of_join_variable ~r ~s ~d1 in
+  let u = Array.length p.heavy_x
+  and v = Array.length p.heavy_y
+  and w = Array.length p.heavy_z in
+  let use_matrix = v > 0 && u * v <= cap && v * w <= cap && u * w <= cap in
   let product =
     if not use_matrix then None
     else
-      phase phases "heavy-count-mm" (fun () ->
-          (* The count product A·Bᵀ over bit-packed rows (62
-             multiply-adds per word op): A rows are x's heavy-y bitsets,
-             B rows are z's heavy-y bitsets. *)
-          let heavy_row_fn () =
-            let y_index = Array.make ny (-1) in
-            Array.iteri (fun j b -> y_index.(b) <- j) heavy_y;
-            fun rel a ->
-              let bits = Jp_util.Vec.create () in
-              Array.iter
-                (fun b ->
-                  if b < ny then begin
-                    let j = y_index.(b) in
-                    if j >= 0 then Jp_util.Vec.push bits j
-                  end)
-                (Relation.adj_src rel a);
-              Jp_util.Vec.to_array bits
-          in
-          match tiled with
-          | Some cfg ->
-            (* Tiled: operands stream through [Jp_tile]'s bounded store
-               and partial products memoize at tile granularity. *)
-            let heavy_row = heavy_row_fn () in
-            let src_a =
-              Jp_tile.Source.of_adjacency ~rows:u ~cols:v (fun i ->
-                  heavy_row r hx.(i))
-            in
-            let src_b =
-              Jp_tile.Source.of_adjacency ~rows:w ~cols:v (fun l ->
-                  heavy_row s hz.(l))
-            in
-            Some
-              (Jp_tile.count_product ~domains ?cancel ?checkpoint
-                 ~memo:(memo.memo_count_tile ~d1 ~tile_bits:cfg.Jp_tile.tile_bits)
-                 cfg src_a src_b)
-          | None ->
-            Some
-              (memo.memo_count_product ~d1 (fun () ->
-                   (* The whole build sits inside the memo thunk: a hit
-                      skips it. *)
-                   let heavy_row = heavy_row_fn () in
-                   let m1 =
-                     Boolmat.of_adjacency ~rows:u ~cols:v (fun i ->
-                         heavy_row r hx.(i))
-                   in
-                   let m2 =
-                     Boolmat.of_adjacency ~rows:w ~cols:v (fun l ->
-                         heavy_row s hz.(l))
-                   in
-                   Boolmat.count_product ~domains m1 m2)))
+      Some
+        (Obs.phase phases "heavy-count-mm" (fun () ->
+             count_product ?cancel ?checkpoint ~tile ~memo ~domains ~r ~s p))
   in
   let treat_all_light = product = None in
   let nx = Relation.src_count r in
   let rows = Array.make nx ([||], [||]) in
   Cancel.check_opt cancel;
-  phase phases "count-merge" (fun () ->
+  Obs.phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
           let nz = Relation.src_count s in
           let count_scratch () = (row_acc ~s, Array.make nz 0) in
@@ -773,7 +676,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               start_row t a;
               Array.iter
                 (fun b ->
-                  if treat_all_light || light_y.(b) then begin
+                  if treat_all_light || p.light_y.(b) then begin
                     let zs = Relation.adj_dst s b in
                     if obs then begin
                       light_scans := !light_scans + Array.length zs;
@@ -784,7 +687,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                 (Relation.adj_src r a);
               (match product with
               | Some m ->
-                let i = x_index.(a) in
+                let i = p.x_index.(a) in
                 if i >= 0 then
                   Array.iteri
                     (fun l c ->
@@ -793,7 +696,7 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
                         if obs then Stdlib.incr presented;
                         bump c k
                       end)
-                    hz
+                    p.heavy_z
               | None -> ());
               let zs = finish_row t in
               if obs then misses := !misses + Array.length zs;
@@ -812,109 +715,84 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
               true);
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
 
+(* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade the
+   heavy step to the combinatorial merge; a cost-honesty checkpoint
+   re-plans a Partitioned decision whose est_seconds was injected.
+   There is no chunked |OUT| checkpoint here because plan_counts'
+   decision is insensitive to est_out (d2 is pinned), so only the
+   mm-cost component of an injection can mislead it. *)
+let run_counts ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases
+    ~matrix_cell_cap ~r ~s plan =
+  let module Guard = Jp_adaptive.Guard in
+  let plan, strategy, cap =
+    match g with
+    | None -> (plan, strategy, matrix_cell_cap)
+    | Some g ->
+      let cap =
+        match (Guard.config g).Guard.budget.Guard.max_cells with
+        | Some limit -> min matrix_cell_cap (limit / 3)
+        | None -> matrix_cell_cap
+      in
+      let strategy =
+        match Guard.check_budget g ~cells:0 with
+        | Guard.Degrade ->
+          Guard.note_degrade g;
+          Combinatorial
+        | Guard.Continue | Guard.Replan -> strategy
+      in
+      let plan =
+        match plan.Optimizer.decision with
+        | Optimizer.Partitioned { d1; d2 }
+          when strategy = Matrix && Guard.can_replan g ->
+          let honest =
+            Optimizer.estimate_cost_prepared ~domains ~kind:Jp_matrix.Cost.Count
+              ~counts_mode:true (Lazy.force prep)
+              (Optimizer.Partitioned { d1; d2 })
+          in
+          (match
+             Guard.check_estimate g ~est:plan.Optimizer.est_seconds
+               ~observed:honest
+           with
+          | Guard.Replan ->
+            Obs.phase phases "replan" (fun () ->
+                Guard.note_replan g;
+                Optimizer.plan_counts_prepared ~domains
+                  ~est_out:(Estimator.sampled ~r ~s ())
+                  (Lazy.force prep) ())
+          | Guard.Continue | Guard.Degrade -> plan)
+        | _ -> plan
+      in
+      (plan, strategy, cap)
+  in
+  let result =
+    match (plan.Optimizer.decision, strategy) with
+    | Optimizer.Wcoj, _ | _, Combinatorial ->
+      Obs.phase phases "wcoj" (fun () ->
+          Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
+    | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
+      (* Same per-tile checkpoint rule as the boolean guarded path: only
+         the calling domain may touch the guard. *)
+      let checkpoint =
+        if domains <= 1 then Option.map (fun g () -> note_budget g) g else None
+      in
+      let result, used_matrix =
+        counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r
+          ~s ~d1 ~cap ()
+      in
+      (match g with
+      | Some g when not used_matrix -> Guard.note_degrade g
+      | _ -> ());
+      result
+  in
+  (result, plan)
+
 let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
     ?memo ?tile ?(matrix_cell_cap = 200_000_000) ~r ~s () =
-  let memo = match memo with Some m -> m | None -> no_memo in
-  Obs.span "two_path.project_counts" (fun () ->
-      let t0 = Jp_util.Timer.now () in
-      Cancel.check_opt cancel;
-      let phases = ref [] in
-      let g = Option.map Jp_adaptive.Guard.start guard in
-      let prep = lazy (memo.memo_prepared (fun () -> Optimizer.prepare ~r ~s)) in
-      let plan =
-        match plan with
-        | Some p -> p
-        | None ->
-          (* plan_counts' thresholds do not depend on est_out (d2 is
-             pinned), so only the mm-cost component of a guard's injection
-             can mislead it — and the honesty checkpoint below catches
-             it. *)
-          phase phases "plan" (fun () ->
-              let prep = Lazy.force prep in
-              let est_out, mm_cost_scale = injected_stats g prep in
-              Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale
-                prep ())
-      in
-      (* Guard checkpoints (counts flavour): entry/pre-MM budgets degrade
-         the heavy step to the combinatorial merge; a cost-honesty
-         checkpoint re-plans a Partitioned decision whose est_seconds was
-         injected.  There is no chunked |OUT| checkpoint here because
-         plan_counts' decision is insensitive to est_out. *)
-      let module Guard = Jp_adaptive.Guard in
-      let plan, strategy, cap =
-        match g with
-        | None -> (plan, strategy, matrix_cell_cap)
-        | Some g ->
-          let cap =
-            match (Guard.config g).Guard.budget.Guard.max_cells with
-            | Some limit -> min matrix_cell_cap (limit / 3)
-            | None -> matrix_cell_cap
-          in
-          let strategy =
-            match Guard.check_budget g ~cells:0 with
-            | Guard.Degrade ->
-              Guard.note_degrade g;
-              Combinatorial
-            | Guard.Continue | Guard.Replan -> strategy
-          in
-          let plan =
-            match plan.Optimizer.decision with
-            | Optimizer.Partitioned { d1; d2 }
-              when strategy = Matrix && Guard.can_replan g ->
-              let honest =
-                Optimizer.estimate_cost_prepared ~domains
-                  ~kind:Jp_matrix.Cost.Count ~counts_mode:true
-                  (Lazy.force prep)
-                  (Optimizer.Partitioned { d1; d2 })
-              in
-              (match
-                 Guard.check_estimate g ~est:plan.Optimizer.est_seconds
-                   ~observed:honest
-               with
-              | Guard.Replan ->
-                phase phases "replan" (fun () ->
-                    Guard.note_replan g;
-                    Optimizer.plan_counts_prepared ~domains
-                      ~est_out:(Estimator.sampled ~r ~s ())
-                      (Lazy.force prep) ())
-              | Guard.Continue | Guard.Degrade -> plan)
-            | _ -> plan
-          in
-          (plan, strategy, cap)
-      in
-      let result =
-        match (plan.Optimizer.decision, strategy) with
-        | Optimizer.Wcoj, _ | _, Combinatorial ->
-          phase phases "wcoj" (fun () ->
-              Jp_wcoj.Expand.project_counts ~domains ?cancel ~r ~s ())
-        | Optimizer.Partitioned { d1; d2 = _ }, Matrix ->
-          (* Same per-tile checkpoint rule as the boolean guarded path:
-             only the calling domain may touch the guard. *)
-          let checkpoint =
-            if domains <= 1 then Option.map (fun g () -> note_budget g) g
-            else None
-          in
-          let result, used_matrix =
-            counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains
-              ~memo ~r ~s ~d1 ~cap ()
-          in
-          (match g with
-          | Some g when not used_matrix -> Guard.note_degrade g
-          | _ -> ());
-          result
-      in
-      if Obs.recording () then begin
-        let replanned, degraded =
-          match g with
-          | Some g -> (Guard.replanned g, Guard.degraded g)
-          | None -> (false, false)
-        in
-        Obs.record_plan ~label:"two_path.counts" ~replanned ~degraded
-          ~decision:(Optimizer.decision_to_string plan.Optimizer.decision)
-          ~est_out:plan.Optimizer.est_out ~join_size:plan.Optimizer.join_size
-          ~est_seconds:plan.Optimizer.est_seconds
-          ~actual_out:(Counted_pairs.count result)
-          ~actual_seconds:(Jp_util.Timer.now () -. t0)
-          ~phases:(List.rev !phases) ()
-      end;
-      result)
+  let memo = Option.value memo ~default:no_memo in
+  Cancel.check_opt cancel;
+  with_plan ~span:"two_path.project_counts" ~label:"two_path.counts" ~memo ~plan
+    ~guard
+    ~planner:(fun est_out mm_cost_scale prep ->
+      Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale prep ())
+    ~count:Counted_pairs.count ~r ~s
+    (run_counts ?cancel ?tile ~domains ~strategy ~memo ~matrix_cell_cap ~r ~s)

@@ -20,6 +20,16 @@
     baseline (the Lemma-2-style combinatorial output-sensitive
     algorithm), sharing every other code path with {b MMJoin}.
 
+    {b The heavy product.}  Both kinds build it from the same operand
+    rows over a {!Partition}: x → heavy-y positions on the left, and on
+    the right heavy y → heavy-z positions (boolean) or z → heavy-y
+    positions (counts, whose kernel takes the right operand transposed).
+    With [?tile] present the product is tiled: {!Jp_tile} streams it from
+    those rows, tiles being the work-stealing, memoization and
+    memory-budget unit, and guard checkpoints and cancel polls fire once
+    per tile.  Without [?tile] the flat kernel runs on the materialized
+    operands.  Results are bit-equal either way.
+
     All entry points take [?cancel]: a {!Jp_util.Cancel} token polled at
     phase boundaries and once per merge chunk (never per tuple), raising
     {!Jp_util.Cancel.Cancelled} promptly when the token is cancelled or
@@ -60,7 +70,7 @@ type memo = {
     Jp_matrix.Boolmat.t;
       (** Tile-granularity sibling of [memo_bool_product], consulted
           once per output tile when the heavy product runs tiled
-          ([?tile] + cost gate): tile (ti, tj) of the boolean heavy
+          ([?tile] present): tile (ti, tj) of the boolean heavy
           product for thresholds (d1, d2) at the given tile size.  The
           whole-product hook is {e not} consulted on the tiled path —
           partial products cache at tile granularity instead. *)
@@ -118,15 +128,9 @@ val project :
     no guard state, no injected estimate, and a Wcoj plan is a single
     expansion of the whole x domain.
 
-    With [tile], the heavy-part product streams through {!Jp_tile} —
-    tiles as the work-stealing, memoization and memory-budget unit —
-    whenever {!Jp_matrix.Cost.should_tile} agrees (operands at least
-    [Cost.tile_min_bytes], or larger than the config's resident
-    budget) or the config's [force] flag is set; results are bit-equal
-    either way, and without [tile] the flat kernel runs.  Guard
-    checkpoints and cancel polls fire once per tile, and with a [memo]
-    the tiled product consults the tile-granularity hooks instead of
-    the whole-product one. *)
+    [tile] tiles the heavy product (see the module description); with a
+    [memo], the tiled product consults the tile-granularity hooks
+    instead of the whole-product one. *)
 
 val project_counts :
   ?domains:int ->

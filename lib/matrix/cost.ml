@@ -146,7 +146,7 @@ let mhat m kind ~u ~v ~w ~cores =
   (work /. float_of_int cores) +. construction_seconds m ~u ~v ~w
 
 (* ------------------------------------------------------------------ *)
-(* Tiling threshold (Jp_tile)                                          *)
+(* Operand footprint (sizes [Jp_tile] resident budgets)               *)
 
 let bitmap_bytes ~rows ~cols = rows * ((cols + 61) / 62) * 8
 
@@ -154,10 +154,3 @@ let tile_operand_bytes kind ~u ~v ~w =
   match kind with
   | Boolean -> bitmap_bytes ~rows:u ~cols:v + bitmap_bytes ~rows:v ~cols:w
   | Count -> bitmap_bytes ~rows:u ~cols:v + bitmap_bytes ~rows:w ~cols:v
-
-let tile_min_bytes = 32 * 1024 * 1024
-
-let should_tile ?budget_bytes kind ~u ~v ~w () =
-  let bytes = tile_operand_bytes kind ~u ~v ~w in
-  bytes >= tile_min_bytes
-  || (match budget_bytes with Some b -> bytes > b | None -> false)

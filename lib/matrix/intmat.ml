@@ -4,12 +4,6 @@ let create ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Intmat.create";
   { data = Array.init rows (fun _ -> Array.make cols 0); rows; cols }
 
-let of_arrays data =
-  let rows = Array.length data in
-  let cols = if rows = 0 then 0 else Array.length data.(0) in
-  Array.iter (fun r -> if Array.length r <> cols then invalid_arg "Intmat.of_arrays: ragged") data;
-  { data; rows; cols }
-
 let get m i j = m.data.(i).(j)
 
 let set m i j x = m.data.(i).(j) <- x

@@ -12,8 +12,6 @@ type t = private { data : int array array; rows : int; cols : int }
 
 val create : rows:int -> cols:int -> t
 
-val of_arrays : int array array -> t
-
 val get : t -> int -> int -> int
 
 val set : t -> int -> int -> int -> unit

@@ -409,6 +409,15 @@ let record_plan ?(replanned = false) ?(degraded = false) ~label ~decision
     Mutex.unlock plans_lock
   end
 
+let phase phases name f =
+  if Atomic.get on then begin
+    let t0 = Timer.now () in
+    let x = f () in
+    phases := (name, Timer.now () -. t0) :: !phases;
+    x
+  end
+  else f ()
+
 let plan_records () =
   Mutex.lock plans_lock;
   let ps = List.rev !plans in

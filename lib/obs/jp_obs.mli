@@ -260,6 +260,11 @@ val record_plan :
 (** Append a record (dropped while recording is off).  [replanned] and
     [degraded] (default [false]) carry the adaptive-guard outcome. *)
 
+val phase : (string * float) list ref -> string -> (unit -> 'a) -> 'a
+(** [phase phases name f] runs [f] and, while recording, prepends
+    [(name, seconds)] to [phases], the accumulator an engine hands to
+    {!record_plan}.  It opens no span: [f] may open its own. *)
+
 val plan_records : unit -> plan_actual list
 (** In recording order. *)
 

@@ -251,18 +251,16 @@ let bag_of_fragment ?domains ?guard ?cancel ?cache catalog f =
     let vars = List.map (fun p -> p.out_var) f.parts in
     if Array.length rels = 2 then begin
       let r = rels.(0) and s = rels.(1) in
-      let memo =
-        match cache with
-        | None -> None
-        | Some c -> Some (Jp_cache.two_path_memo c ~r ~s)
+      let memo = Option.map (fun c -> Jp_cache.two_path_memo c ~r ~s) cache in
+      let pairs =
+        Joinproj.Two_path.project ?domains ?guard ?cancel ?memo ~r ~s ()
       in
-      let pairs = Fragment.two_path ?domains ?guard ?cancel ?memo ~r ~s () in
       let rows = ref [] in
       Pairs.iter (fun x z -> rows := [| x; z |] :: !rows) pairs;
       Ok (Bag.make ~vars !rows)
     end
     else begin
-      let tuples = Fragment.star ?guard ?cancel rels in
+      let tuples = Joinproj.Star.project ?guard ?cancel rels in
       let rows = ref [] in
       Tuples.iter (fun tup -> rows := Array.copy tup :: !rows) tuples;
       Ok (Bag.make ~vars !rows)

@@ -119,7 +119,7 @@ val run :
   Cq.t ->
   (Jp_relation.Tuples.t, string) result
 (** Plan, evaluate the carved fragments through
-    {!Joinproj.Fragment.two_path} / {!Joinproj.Fragment.star} (threading
+    {!Joinproj.Two_path.project} / {!Joinproj.Star.project} (threading
     [guard]/[cancel], and — for 2-path fragments — the cache's
     {!Jp_cache.two_path_memo} hooks), then stitch with
     {!Yannakakis.run_bags}.  Head tuples come in head-variable order.

@@ -215,10 +215,6 @@ let active_dst = function
         && deg_dst first b > 0
         && List.for_all (fun r -> b < r.dst_count && deg_dst r b > 0) rest)
 
-let degrees_src r = Array.map Array.length r.fwd
-
-let degrees_dst r = Array.map Array.length r.bwd
-
 let equal a b =
   a.src_count = b.src_count && a.dst_count = b.dst_count && a.fwd = b.fwd
 

@@ -82,11 +82,6 @@ val active_dst : t list -> bool array
     relation — the "tuples that contribute to the join result"
     preprocessing filter of Section 3. *)
 
-val degrees_src : t -> int array
-(** Fresh array [d] with [d.(a) = deg_src r a]. *)
-
-val degrees_dst : t -> int array
-
 val equal : t -> t -> bool
 (** Same tuple sets and same declared id spaces. *)
 

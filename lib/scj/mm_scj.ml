@@ -5,9 +5,7 @@ module Vec = Jp_util.Vec
 let join ?(domains = 1) ?guard ?cancel ?cache r =
   Jp_obs.span "scj.mm_join" (fun () ->
       let memo =
-        match cache with
-        | None -> None
-        | Some c -> Some (Jp_cache.two_path_memo c ~r ~s:r)
+        Option.map (fun c -> Jp_cache.two_path_memo c ~r ~s:r) cache
       in
       let counted =
         Joinproj.Two_path.project_counts ~domains ?guard ?cancel ?memo ~r ~s:r

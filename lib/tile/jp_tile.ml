@@ -1,37 +1,33 @@
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Bitset = Jp_util.Bitset
-module Vec = Jp_util.Vec
 module Cancel = Jp_util.Cancel
 module Obs = Jp_obs
 module Metrics = Jp_metrics
 module Pool = Jp_parallel.Pool
 
-type config = { tile_bits : int; budget_bytes : int option; force : bool }
+type config = { tile_bits : int; budget_bytes : int option }
 
 let default_tile_bits = 9
 
-let config ?(tile_bits = default_tile_bits) ?budget_bytes ?(force = false) () =
-  { tile_bits = max 4 (min 20 tile_bits); budget_bytes; force }
+let config ?(tile_bits = default_tile_bits) ?budget_bytes () =
+  { tile_bits = max 4 (min 20 tile_bits); budget_bytes }
 
 module Source = struct
-  type t = { rows : int; cols : int; adj : int -> int array }
+  type t = { rows : int; cols : int; row : int -> (int -> unit) -> unit }
 
-  let of_adjacency ~rows ~cols adj =
-    if rows < 0 || cols < 0 then invalid_arg "Jp_tile.Source.of_adjacency";
-    { rows; cols; adj }
+  let of_rows ~rows ~cols row =
+    if rows < 0 || cols < 0 then invalid_arg "Jp_tile.Source.of_rows";
+    { rows; cols; row }
 
   let of_boolmat m =
-    let adj i =
-      let out = Vec.create () in
-      Boolmat.iter_row m i (fun j -> Vec.push out j);
-      Vec.to_array out
-    in
-    { rows = Boolmat.rows m; cols = Boolmat.cols m; adj }
+    { rows = Boolmat.rows m; cols = Boolmat.cols m; row = Boolmat.iter_row m }
 
   let rows s = s.rows
 
   let cols s = s.cols
+
+  let row s = s.row
 end
 
 (* Number of tile blocks covering [n] positions at [ts] per tile. *)
@@ -41,18 +37,16 @@ let tile_bytes_of m = (Boolmat.rows m * ((Boolmat.cols m + 61) / 62) * 8) + 64
 
 (* Build one operand tile: rows [r0, r0+th), inner columns [c0, c0+tw)
    of [src], remapped to a th×tw block.  Also returns the number of
-   adjacency entries scanned — the deterministic build-cost proxy that
+   row positions scanned — the deterministic build-cost proxy that
    seeds the tile's LANDLORD credit (wall clocks would make eviction
    order nondeterministic). *)
 let build_tile (src : Source.t) ~r0 ~th ~c0 ~tw =
   let m = Boolmat.create ~rows:th ~cols:tw in
   let scanned = ref 0 in
   for i = 0 to th - 1 do
-    let row = src.Source.adj (r0 + i) in
-    scanned := !scanned + Array.length row;
-    Array.iter
-      (fun j -> if j >= c0 && j < c0 + tw then Boolmat.set m i (j - c0))
-      row
+    src.Source.row (r0 + i) (fun j ->
+        Stdlib.incr scanned;
+        if j >= c0 && j < c0 + tw then Boolmat.set m i (j - c0))
   done;
   (m, !scanned)
 

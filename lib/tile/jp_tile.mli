@@ -9,7 +9,7 @@
     - {b Scheduling}: output tiles are the work-stealing unit — one
       {!Jp_parallel.Pool} chunk per tile — so load balance no longer
       depends on row skew.
-    - {b Memory}: operand tiles are built on demand from an adjacency
+    - {b Memory}: operand tiles are built on demand from a row
       {!Source} and kept in a bounded resident store; when a byte budget
       is set, LANDLORD-style eviction rebuilds cold tiles instead of
       holding both operands resident, so products larger than the budget
@@ -31,35 +31,29 @@ module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
 module Cancel = Jp_util.Cancel
 
-type config = private {
-  tile_bits : int;
-  budget_bytes : int option;
-  force : bool;
-}
+type config = private { tile_bits : int; budget_bytes : int option }
 (** [tile_bits] is k of the 2{^k}×2{^k} tile shape; [budget_bytes]
     bounds the operand-tile resident set ([None] = unbounded: every
-    operand tile stays resident once built).  [force] is advisory for
-    callers that gate on {!Jp_matrix.Cost.should_tile}: it asks them to
-    tile regardless of the size threshold (this module itself always
-    tiles). *)
+    operand tile stays resident once built). *)
 
 val default_tile_bits : int
 (** 9: 512×512 tiles, ≈ 33 KiB of bitset words per boolean tile. *)
 
-val config : ?tile_bits:int -> ?budget_bytes:int -> ?force:bool -> unit -> config
-(** [tile_bits] is clamped to [[4, 20]]; [force] defaults to [false]. *)
+val config : ?tile_bits:int -> ?budget_bytes:int -> unit -> config
+(** [tile_bits] is clamped to [[4, 20]]. *)
 
-(** Lazy operand views: shape plus a row-adjacency function, so tiles
-    can be (re)built on demand without ever materializing the full
-    operand matrix. *)
+(** Lazy operand views: shape plus a row iterator, so tiles can be
+    (re)built on demand without ever materializing the full operand
+    matrix. *)
 module Source : sig
   type t
 
-  val of_adjacency : rows:int -> cols:int -> (int -> int array) -> t
-  (** [of_adjacency ~rows ~cols adj] views row [i] as ones at positions
-      [adj i] (each in [[0, cols)], order irrelevant).  [adj] must be
-      pure — it is re-invoked whenever an evicted tile is rebuilt — and,
-      with [domains > 1], safe to call from worker domains. *)
+  val of_rows : rows:int -> cols:int -> (int -> (int -> unit) -> unit) -> t
+  (** [of_rows ~rows ~cols row] views row [i] as ones at the positions
+      [row i f] passes to [f] (each in [[0, cols)], order irrelevant; a
+      tile's build cost is the number of positions passed).  [row] must
+      be pure — it is re-invoked whenever an evicted tile is rebuilt —
+      and, with [domains > 1], safe to call from worker domains. *)
 
   val of_boolmat : Boolmat.t -> t
   (** View an already materialized matrix (tests and benches). *)
@@ -67,6 +61,9 @@ module Source : sig
   val rows : t -> int
 
   val cols : t -> int
+
+  val row : t -> int -> (int -> unit) -> unit
+  (** [row src i f] calls [f] on each position of row [i]. *)
 end
 
 val mul :

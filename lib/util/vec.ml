@@ -38,8 +38,6 @@ let truncate v n =
 
 let to_array v = Array.sub v.data 0 v.len
 
-let unsafe_data v = v.data
-
 let sort_dedup v =
   if v.len > 1 then begin
     let a = v.data in

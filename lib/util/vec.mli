@@ -30,9 +30,6 @@ val truncate : t -> int -> unit
 val to_array : t -> int array
 (** Fresh array copy of the contents. *)
 
-val unsafe_data : t -> int array
-(** The backing store; only indices [< length] are meaningful. *)
-
 val sort_dedup : t -> unit
 (** Sorts ascending and removes duplicates in place, without copying the
     buffer. *)

@@ -362,16 +362,16 @@ let work_counters =
     "pool.tasks";
   ]
 
-let counter_deltas f =
+let counter_deltas ?(names = work_counters) f =
   let snapshot () =
     let all = Jp_obs.counter_values () in
     List.map
       (fun name -> Option.value ~default:0 (List.assoc_opt name all))
-      work_counters
+      names
   in
   let before = snapshot () in
   let x = f () in
-  (x, List.combine work_counters (List.map2 ( - ) (snapshot ()) before))
+  (x, List.combine names (List.map2 ( - ) (snapshot ()) before))
 
 (* The row accumulator changes how rows are finalized, never what the
    merge counts: [light.probes] and [dedup.*] (presented minus produced)
@@ -437,6 +437,76 @@ let test_merge_counters_pinned () =
       check_pairs "sparse row" (Gen.brute_two_path ~r ~s) (Gen.pairs_to_list got);
       Alcotest.(check bool) "sparse row is radix-sorted" true
         (List.assoc "sort.radix_bytes" work > 0))
+
+(* The tiled heavy product through [Two_path]: [Jp_tile] builds its
+   operand tiles from the rows [Two_path] feeds it, and their order and
+   length seed the tiles' LANDLORD credits, hence the eviction trace.
+   At a forced Partitioned plan, with 16-wide tiles and a budget small
+   enough to evict, both kinds equal the flat product at domains 1 and
+   2, and at domains 1 the tile and merge counters are pinned (values
+   recorded from the commit before the operand rows were shared). *)
+let test_tiled_heavy_pinned () =
+  let r = Gen.skewed_relation ~seed:71 ~nx:300 ~ny:120 ~edges:4000 () in
+  let s = Gen.skewed_relation ~seed:72 ~nx:260 ~ny:120 ~edges:3500 () in
+  let tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:4096 () in
+  let names =
+    [
+      "tile.build";
+      "tile.evict";
+      "tile.product";
+      "tile.peak_bytes";
+      "mm.bool_word_ops";
+      "mm.count_word_ops";
+      "light.probes";
+      "dedup.stamp_hits";
+      "dedup.stamp_misses";
+    ]
+  in
+  let boolean tile domains =
+    `Pairs (Two_path.project ~domains ~plan:(forced_plan 3 3) ?tile ~r ~s ())
+  and counts tile domains =
+    `Counted
+      (Two_path.project_counts ~domains ~plan:(forced_plan 3 1) ?tile ~r ~s ())
+  in
+  let cases =
+    [
+      ( "boolean",
+        boolean,
+        [ 5143; 5120; 323; 4096; 53516; 0; 503; 229; 76092 ] );
+      ( "counts",
+        counts,
+        [ 2863; 2838; 323; 4096; 0; 651040; 131; 129; 76092 ] );
+    ]
+  in
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (label, run, pinned) ->
+          List.iter
+            (fun domains ->
+              let name = Printf.sprintf "%s, domains=%d" label domains in
+              let flat = run None domains in
+              let tiled, work =
+                counter_deltas ~names (fun () -> run (Some tile) domains)
+              in
+              let same =
+                match (flat, tiled) with
+                | `Pairs a, `Pairs b -> Pairs.equal a b
+                | `Counted a, `Counted b -> Jp_relation.Counted_pairs.equal a b
+                | _ -> false
+              in
+              Alcotest.(check bool) (name ^ ": tiled = flat") true same;
+              if domains = 1 then
+                Alcotest.(check (list (pair string int)))
+                  (name ^ ": tile and merge counters")
+                  (List.combine names pinned) work)
+            [ 1; 2 ])
+        cases)
 
 let test_absent_capability_noop () =
   let r = Gen.random_relation ~seed:61 ~nx:5000 ~ny:2000 ~edges:20_000 () in
@@ -532,6 +602,8 @@ let suite =
     Alcotest.test_case "plan info" `Quick test_plan_info;
     Alcotest.test_case "plans pinned on the presets" `Quick test_plans_pinned;
     Alcotest.test_case "merge counters pinned" `Quick test_merge_counters_pinned;
+    Alcotest.test_case "tiled heavy product pinned" `Quick
+      test_tiled_heavy_pinned;
     Alcotest.test_case "absent capability is a no-op" `Quick
       test_absent_capability_noop;
   ]

@@ -424,7 +424,7 @@ let test_cached_cq_agrees () =
    evict mid-product), boolean and counted projections must stay
    bit-equal to the untiled engines — alone and stacked under the
    guarded / cancelled / cached capabilities. *)
-let tiny_tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:8192 ~force:true ()
+let tiny_tile = Jp_tile.config ~tile_bits:4 ~budget_bytes:8192 ()
 
 let test_tiled_two_path_agrees () =
   let matrix = Joinproj.Two_path.Matrix in

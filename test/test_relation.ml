@@ -62,18 +62,6 @@ let prop_roundtrip =
       Array.to_list (Relation.to_edges r) = expect
       && Relation.size r = List.length expect)
 
-let prop_degrees_consistent =
-  QCheck.Test.make ~name:"degree arrays consistent with adjacency" ~count:100
-    QCheck.(small_list (pair (int_bound 15) (int_bound 15)))
-    (fun edges ->
-      let r = Relation.of_edges ~src_count:16 ~dst_count:16 (Array.of_list edges) in
-      let ds = Relation.degrees_src r and dd = Relation.degrees_dst r in
-      Array.for_all (fun x -> x >= 0) ds
-      && Array.fold_left ( + ) 0 ds = Relation.size r
-      && Array.fold_left ( + ) 0 dd = Relation.size r
-      && Array.to_list ds
-         = List.init 16 (fun a -> Array.length (Relation.adj_src r a)))
-
 let test_fingerprint () =
   let edges = [| (0, 1); (2, 0); (0, 2) |] in
   let r1 = Relation.of_edges edges in
@@ -264,7 +252,6 @@ let suite =
     Alcotest.test_case "join size / active" `Quick test_join_size_active;
     Alcotest.test_case "of_flat errors" `Quick test_of_flat_errors;
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    QCheck_alcotest.to_alcotest prop_degrees_consistent;
     Alcotest.test_case "fingerprint" `Quick test_fingerprint;
     QCheck_alcotest.to_alcotest prop_fingerprint_respects_equality;
     Alcotest.test_case "stats" `Quick test_stats;

@@ -1,6 +1,5 @@
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
-module Cost = Jp_matrix.Cost
 module Tile = Jp_tile
 module Cancel = Jp_util.Cancel
 
@@ -192,18 +191,6 @@ let test_checkpoint_and_cancel () =
   Alcotest.check_raises "cancelled" (Cancel.Cancelled Cancel.Requested)
     (fun () -> ignore (Tile.mul ~cancel:c (cfg ()) sa sa))
 
-(* The cost-model gate: huge shapes or over-budget operands tile, small
-   ones without a budget do not. *)
-let test_should_tile_gate () =
-  Alcotest.(check bool) "small untiled" false
-    (Cost.should_tile Cost.Boolean ~u:100 ~v:100 ~w:100 ());
-  Alcotest.(check bool) "huge tiled" true
-    (Cost.should_tile Cost.Boolean ~u:100_000 ~v:100_000 ~w:100_000 ());
-  Alcotest.(check bool) "over budget tiled" true
-    (Cost.should_tile ~budget_bytes:1024 Cost.Count ~u:1000 ~v:1000 ~w:1000 ());
-  Alcotest.(check bool) "under budget untiled" false
-    (Cost.should_tile ~budget_bytes:(1 lsl 30) Cost.Count ~u:100 ~v:100 ~w:100 ())
-
 let suite =
   [
     Alcotest.test_case "mul matches flat" `Quick test_mul_matches_flat;
@@ -217,5 +204,4 @@ let suite =
     Alcotest.test_case "store accounting" `Quick test_store_accounting;
     Alcotest.test_case "memo per tile" `Quick test_memo_per_tile;
     Alcotest.test_case "checkpoint and cancel" `Quick test_checkpoint_and_cancel;
-    Alcotest.test_case "should_tile gate" `Quick test_should_tile_gate;
   ]
