@@ -14,9 +14,6 @@ let no_budget = { max_seconds = None; max_cells = None }
 
 type config = {
   divergence : float;
-  check_every : int;
-  probe_rows : int;
-  max_replans : int;
   budget : budget;
   inject : Inject.t;
 }
@@ -24,9 +21,6 @@ type config = {
 let default =
   {
     divergence = 8.0;
-    check_every = 4096;
-    probe_rows = 1024;
-    max_replans = 1;
     budget = no_budget;
     inject = Inject.none;
   }
@@ -56,12 +50,10 @@ type t = {
 
 let start cfg =
   if cfg.divergence <= 1.0 then invalid_arg "Guard.start: divergence must be > 1";
-  if cfg.check_every < 1 || cfg.probe_rows < 1 then
-    invalid_arg "Guard.start: chunk sizes must be >= 1";
   {
     cfg;
     t0 = Timer.now ();
-    replans_left = cfg.max_replans;
+    replans_left = 1;
     replanned = false;
     degraded = false;
     checkpoints = 0;

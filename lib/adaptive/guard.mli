@@ -40,20 +40,12 @@ type config = {
   divergence : float;
       (** re-plan when observed/estimated leaves
           [[1/divergence, divergence]]; must be > 1 (default 8) *)
-  check_every : int;
-      (** x rows expanded between guard checkpoints inside chunked loops
-          (default 4096) *)
-  probe_rows : int;
-      (** x rows the guarded Wcoj path expands before its first
-          plan-vs-actual extrapolation checkpoint (default 1024) *)
-  max_replans : int;  (** re-planning fuel per invocation (default 1) *)
   budget : budget;
   inject : Inject.t;  (** misestimation injected into the initial plan *)
 }
 
 val default : config
-(** Divergence 8, checkpoints every 4096 rows, probe 1024 rows, one
-    re-plan, no budget, no injection. *)
+(** Divergence 8, no budget, no injection. *)
 
 val with_budget_ms : float -> config -> config
 (** Set [budget.max_seconds] from milliseconds. *)
@@ -72,7 +64,8 @@ type t
 (** Runtime state of one guarded invocation. *)
 
 val start : config -> t
-(** Start the wall clock and zero the outcome flags. *)
+(** Start the wall clock, zero the outcome flags and grant the one
+    re-plan an invocation may make. *)
 
 val config : t -> config
 

@@ -38,20 +38,15 @@ let sampled ?(seed = 0x5EED) ?(sample = 64) ~r ~s () =
     let rng = Jp_util.Rng.create seed in
     let sample = min sample n_active in
     let chosen = Array.init sample (fun _ -> active.(Jp_util.Rng.int rng n_active)) in
-    let stamps = Array.make (Relation.src_count s) (-1) in
+    let acc = Jp_wcoj.Row_acc.create (Relation.src_count s) in
     let total = ref 0 in
-    Array.iteri
-      (fun idx a ->
+    Array.iter
+      (fun a ->
+        Jp_wcoj.Row_acc.start acc;
         Array.iter
-          (fun b ->
-            Array.iter
-              (fun c ->
-                if Array.unsafe_get stamps c <> idx then begin
-                  Array.unsafe_set stamps c idx;
-                  incr total
-                end)
-              (Relation.adj_dst s b))
-          (Relation.adj_src r a))
+          (fun b -> Jp_wcoj.Row_acc.scan acc (Relation.adj_dst s b))
+          (Relation.adj_src r a);
+        total := !total + Jp_wcoj.Row_acc.distinct acc)
       chosen;
     let scaled =
       int_of_float (float_of_int !total /. float_of_int sample *. float_of_int n_active)

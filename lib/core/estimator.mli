@@ -7,9 +7,6 @@
 
 module Relation = Jp_relation.Relation
 
-val active_src : Relation.t -> int
-(** Number of x values with at least one tuple. *)
-
 val join_size : r:Relation.t -> s:Relation.t -> int
 (** |OUT{_⋈}| = Σ{_y} deg{_R}(y)·deg{_S}(y), the full 2-path join size. *)
 
@@ -32,6 +29,7 @@ val geometric_mean : int * int -> int
 val sampled : ?seed:int -> ?sample:int -> r:Relation.t -> s:Relation.t -> unit -> int
 (** Sampling refinement (the better join-project estimators the paper's
     future-work section calls for): expands a uniform sample of [sample]
-    (default 64) x values exactly with the stamp-vector join and
-    extrapolates Σ|row| to the full domain.  Unbiased, O(sample · avg
-    expansion) time, and clamped to {!bounds}. *)
+    (default 64) x values exactly through a {!Jp_wcoj.Row_acc} and
+    extrapolates Σ|row| to the full domain (a value drawn twice counts
+    twice).  Unbiased, O(sample · avg expansion) time, and clamped to
+    {!bounds}. *)

@@ -1,6 +1,6 @@
 module Relation = Jp_relation.Relation
 module Pairs = Jp_relation.Pairs
-module Vec = Jp_util.Vec
+module Row_acc = Jp_wcoj.Row_acc
 
 type t = {
   light : int array array; (* x -> sorted light partners *)
@@ -22,25 +22,17 @@ let light_rows ~r ~s (p : Partition.t) =
                (fun c -> Relation.deg_src s c <= p.d2)
                (Array.to_seq (Relation.adj_dst s b))))
     p.heavy_y;
-  let stamps = Array.make (Relation.src_count s) (-1) in
-  let buf = Vec.create ~capacity:256 () in
+  let acc = Row_acc.create (Relation.src_count s) in
   Array.init (Relation.src_count r) (fun a ->
-      Vec.clear buf;
-      let push c =
-        if Array.unsafe_get stamps c <> a then begin
-          Array.unsafe_set stamps c a;
-          Vec.push buf c
-        end
-      in
+      Row_acc.start acc;
       let a_light = Relation.deg_src r a <= p.d2 in
       Array.iter
         (fun b ->
           if a_light || Partition.is_light_y p b then
-            Array.iter push (Relation.adj_dst s b)
-          else Array.iter push s_light_of_heavy_y.(b))
+            Row_acc.scan acc (Relation.adj_dst s b)
+          else Row_acc.scan acc s_light_of_heavy_y.(b))
         (Relation.adj_src r a);
-      Vec.sort_dedup buf;
-      Vec.to_array buf)
+      Row_acc.finish acc)
 
 let build ?plan ?thresholds ~r ~s () =
   let nz = Relation.src_count s in
@@ -119,27 +111,17 @@ let mem t x z =
   && (Jp_util.Sorted.mem t.light.(x) z
      || Array.exists (fun id -> Jp_util.Sorted.mem t.z_arrays.(id) z) t.by_x.(x))
 
-let row_into t x ~stamps ~buf =
-  Vec.clear buf;
-  let stamp = x in
-  let push c =
-    if Array.unsafe_get stamps c <> stamp then begin
-      Array.unsafe_set stamps c stamp;
-      Vec.push buf c
-    end
-  in
-  Array.iter push t.light.(x);
-  Array.iter (fun id -> Array.iter push t.z_arrays.(id)) t.by_x.(x);
-  Vec.sort_dedup buf
+(* Row [x] of the pair set: its light partners and every biclique it
+   belongs to, deduplicated in [acc]. *)
+let row t acc x =
+  Row_acc.start acc;
+  Row_acc.scan acc t.light.(x);
+  Array.iter (fun id -> Row_acc.scan acc t.z_arrays.(id)) t.by_x.(x);
+  Row_acc.finish acc
 
 let iter f t =
-  let stamps = Array.make (max 1 t.nz) (-1) in
-  let buf = Vec.create ~capacity:256 () in
-  Array.iteri
-    (fun x _ ->
-      row_into t x ~stamps ~buf;
-      Vec.iter (fun z -> f x z) buf)
-    t.light
+  let acc = Row_acc.create t.nz in
+  Array.iteri (fun x _ -> Array.iter (f x) (row t acc x)) t.light
 
 let count t =
   let n = ref 0 in
@@ -157,9 +139,5 @@ let stored_ints t =
 let bicliques t = Array.length t.x_arrays
 
 let to_pairs t =
-  let stamps = Array.make (max 1 t.nz) (-1) in
-  let buf = Vec.create ~capacity:256 () in
-  Pairs.of_rows_unchecked
-    (Array.init (Array.length t.light) (fun x ->
-         row_into t x ~stamps ~buf;
-         Vec.to_array buf))
+  let acc = Row_acc.create t.nz in
+  Pairs.of_rows_unchecked (Array.init (Array.length t.light) (row t acc))

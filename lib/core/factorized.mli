@@ -35,8 +35,8 @@ val mem : t -> int -> int -> bool
 (** O(log) in the light part plus one probe per biclique containing x. *)
 
 val iter : (int -> int -> unit) -> t -> unit
-(** Enumerates every distinct pair exactly once (per-x stamp dedup across
-    light rows and bicliques). *)
+(** Enumerates every distinct pair exactly once (each x's light row and
+    bicliques deduplicated in one {!Jp_wcoj.Row_acc}). *)
 
 val count : t -> int
 (** Number of distinct pairs, |OUT| (computed by streaming {!iter}'s

@@ -27,7 +27,6 @@ type gate = {
 }
 
 val gate_two_path :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   r:Relation.t ->
   s:Relation.t ->
@@ -39,7 +38,6 @@ val gate_two_path :
     [Partitioned]. *)
 
 val gate_star :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   Relation.t array ->
   gate

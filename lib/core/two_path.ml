@@ -3,11 +3,10 @@ module Pairs = Jp_relation.Pairs
 module Counted_pairs = Jp_relation.Counted_pairs
 module Boolmat = Jp_matrix.Boolmat
 module Intmat = Jp_matrix.Intmat
-module Vec = Jp_util.Vec
-module Bitset = Jp_util.Bitset
 module Obs = Jp_obs
 module Cancel = Jp_util.Cancel
 module Source = Jp_tile.Source
+module Row_acc = Jp_wcoj.Row_acc
 
 type strategy = Matrix | Combinatorial
 
@@ -51,10 +50,13 @@ let no_memo =
 
 (* Cancellation support.  [Cancel.check_opt] is the phase-boundary
    checkpoint; the chunked merge loops poll every [poll_rows] rows (the
-   guard-checkpoint granularity), reusing one merge scratch per worker
-   across sub-chunks — stamps are row ids, distinct across chunks, so
-   stale stamps cannot collide.  An absent token is never polled. *)
-let poll_rows = 4096
+   guard-checkpoint granularity), reusing one row accumulator per worker
+   across sub-chunks.  An absent token is never polled. *)
+let poll_rows = Jp_wcoj.Expand.poll_rows
+
+(* Rows the guarded Wcoj path expands before its first plan-vs-actual
+   extrapolation checkpoint. *)
+let probe_rows = 1024
 
 (* ------------------------------------------------------------------ *)
 (* The heavy product                                                   *)
@@ -183,155 +185,46 @@ let filter_heavy_s ~r ~s ~light (p : Partition.t) =
    heavy-z lists of heavy y. *)
 type heavy_part = Product of Boolmat.t | Expand of int array array
 
-(* The per-worker row accumulator shared by both merges, kept across
-   that worker's chunks.  A row starts sparse: ids are deduplicated with
-   [stamps] (stamp values are row ids, distinct across chunks, so stale
-   stamps never collide) and collected in [buf], to be radix-sorted at
-   the end.  Once it holds [spill_at] distinct ids it spills: what [buf]
-   holds is set in [acc], a bitset over dom(z), and later ids go straight
-   to [acc]; the row is then written by one ascending [Bitset.drain],
-   which also leaves [acc] empty for the next row.  [spill_at] is about
-   one id per word of [acc], the density from which a scan of the words
-   costs less than sorting the row, and depends only on |dom(z)|. *)
-type row_acc = {
-  stamps : int array;
-  buf : Vec.t;
-  acc : Bitset.t;
-  spill_at : int;
-  mutable stamp : int;
-  mutable spilled : bool;
-}
-
-let row_acc ~s =
-  let nz = Relation.src_count s in
-  let acc = Bitset.create nz in
-  {
-    stamps = Array.make nz (-1);
-    buf = Vec.create ~capacity:256 ();
-    acc;
-    spill_at = max 32 (Bitset.word_count acc);
-    stamp = -1;
-    spilled = false;
-  }
-
-let start_row t a =
-  t.stamp <- a;
-  t.spilled <- false;
-  Vec.clear t.buf
-
-(* Marks [c] as seen in the current row; [true] on its first sight. *)
-let fresh t c =
-  Array.unsafe_get t.stamps c <> t.stamp
-  && begin
-    Array.unsafe_set t.stamps c t.stamp;
-    true
-  end
-
-(* Moves the row's ids so far into [acc]; later ids go straight there. *)
-let spill t =
-  t.spilled <- true;
-  Vec.iter (Bitset.set t.acc) t.buf
-
-(* Collects [c], known to be new to the current row. *)
-let collect t c =
-  if t.spilled then Bitset.set t.acc c
-  else begin
-    Vec.push t.buf c;
-    if Vec.length t.buf >= t.spill_at then spill t
-  end
-
-(* The current row's distinct ids, ascending. *)
-let finish_row t =
-  if t.spilled then Bitset.drain t.acc
-  else begin
-    Vec.sort_dedup t.buf;
-    Vec.to_array t.buf
-  end
-
-(* A row whose only contribution is product row [i]: [heavy_z] is
-   ascending, so the row's positions mapped through it already are the
-   sorted, distinct row. *)
-let product_row m i heavy_z =
-  let row = Bitset.to_array (Boolmat.row m i) in
-  Array.iteri (fun k l -> Array.unsafe_set row k (Array.unsafe_get heavy_z l)) row;
-  row
-
 (* The merged per-x loop over rows [lo, hi): light contributions from
    R- |><| S and R |><| S-, heavy contributions from the matrix product
    (or from a heavy-restricted expansion for the combinatorial strategy),
-   all deduplicated in one row accumulator; a spilled row skips the
-   stamp check.  Returns the number of pairs produced — the
-   observed-output statistic guard checkpoints extrapolate from. *)
+   all deduplicated in one row accumulator.  Returns the number of pairs
+   produced — the observed-output statistic guard checkpoints
+   extrapolate from. *)
 let merge_range ~scratch:t ~r ~s ~(p : Partition.t) ~heavy ~s_light_of_heavy_y
     ~rows lo hi =
-  let obs = Obs.recording () in
-  let light_scans = ref 0 and presented = ref 0 and produced = ref 0 in
-  let scan zs =
-    let n = Array.length zs in
-    if obs then begin
-      light_scans := !light_scans + n;
-      presented := !presented + n
-    end;
-    let j = ref 0 in
-    while !j < n && not t.spilled do
-      let c = Array.unsafe_get zs !j in
-      if fresh t c then collect t c;
-      incr j
-    done;
-    if !j < n then Bitset.set_all t.acc zs ~pos:!j
-  in
+  let produced = ref 0 in
   for a = lo to hi - 1 do
-    start_row t a;
+    Row_acc.start t;
     let a_light = Relation.deg_src r a <= p.d2 in
     Array.iter
       (fun b ->
         if a_light || Partition.is_light_y p b then
-          scan (Relation.adj_dst s b)
+          Row_acc.scan t (Relation.adj_dst s b)
         else
           (* heavy a, heavy b: only the S- tuples (light z) are
              joined here; heavy z is the matrix part's job *)
-          scan s_light_of_heavy_y.(b))
+          Row_acc.scan t s_light_of_heavy_y.(b))
       (Relation.adj_src r a);
     let row =
       match heavy with
       | Product m ->
         let i = p.x_index.(a) in
-        if i < 0 then finish_row t
-        else begin
-          let nnz = Boolmat.row_nnz m i in
-          if obs then presented := !presented + nnz;
-          if Vec.length t.buf = 0 then product_row m i p.heavy_z
-          else begin
-            (* Spill before the product if it would take the row past
-               the spill point; otherwise no id of it can. *)
-            if (not t.spilled) && Vec.length t.buf + nnz >= t.spill_at then
-              spill t;
-            if t.spilled then
-              Bitset.scatter_into ~dst:t.acc (Boolmat.row m i) p.heavy_z
-            else
-              Boolmat.iter_row m i (fun l ->
-                  let c = p.heavy_z.(l) in
-                  if fresh t c then collect t c);
-            finish_row t
-          end
-        end
+        if i < 0 then Row_acc.finish t
+        else Row_acc.finish_mapped t (Boolmat.row m i) p.heavy_z
       | Expand s_heavy_of_heavy_y ->
         if not a_light then
           Array.iter
             (fun b ->
               if not (Partition.is_light_y p b) then
-                scan s_heavy_of_heavy_y.(b))
+                Row_acc.scan t s_heavy_of_heavy_y.(b))
             (Relation.adj_src r a);
-        finish_row t
+        Row_acc.finish t
     in
     produced := !produced + Array.length row;
     rows.(a) <- row
   done;
-  if obs then begin
-    Obs.add Obs.C.light_probes !light_scans;
-    Obs.add Obs.C.stamp_misses !produced;
-    Obs.add Obs.C.stamp_hits (!presented - !produced)
-  end;
+  Row_acc.record t;
   !produced
 
 (* ------------------------------------------------------------------ *)
@@ -388,10 +281,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
   let check_chunk, probe =
     match g with
     | None -> (poll_rows, nx)
-    | Some g ->
-      let cfg = Guard.config g in
-      ( max 64 (min cfg.Guard.check_every (nx / 8)),
-        max 64 (min cfg.Guard.probe_rows (nx / 4)) )
+    | Some _ -> (max 64 (min poll_rows (nx / 8)), max 64 (min probe_rows (nx / 4)))
   in
   let rows = lazy (Array.make nx [||]) in
   let whole = ref None in
@@ -541,7 +431,7 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
             in
             Jp_parallel.Pool.split_ranges ~domains ?cancel ~chunk:check_chunk ~lo
               ~hi:nx
-              ~alloc:(fun () -> row_acc ~s)
+              ~alloc:(fun () -> Row_acc.create (Relation.src_count s))
               (fun scratch i j ->
                 let n =
                   merge_range ~scratch ~r ~s ~p ~heavy ~s_light_of_heavy_y
@@ -571,7 +461,8 @@ let run_project ?cancel ?tile ~g ~prep ~domains ~strategy ~memo ~phases ~r ~s
    checkpoint re-plan reuses it), the initial plan from [planner] given
    a guard's injected misestimation (the optimizer's own statistics
    without a guard), and the plan-vs-actual record.  [run] returns the
-   answer and the plan to record. *)
+   answer and the plan to record; the frame returns the answer and the
+   initial plan. *)
 let with_plan ~span ~label ~memo ~plan ~guard ~planner ~count ~r ~s run =
   let module Guard = Jp_adaptive.Guard in
   Obs.span span (fun () ->
@@ -594,7 +485,7 @@ let with_plan ~span ~label ~memo ~plan ~guard ~planner ~count ~r ~s run =
                   (Some (Jp_adaptive.Inject.out inj est_out))
                   (Some inj.Jp_adaptive.Inject.mm_factor) prep)
       in
-      let result, (plan : Optimizer.plan) = run ~g ~prep ~phases plan in
+      let result, (ran : Optimizer.plan) = run ~g ~prep ~phases plan in
       if Obs.recording () then begin
         let replanned, degraded =
           match g with
@@ -602,17 +493,15 @@ let with_plan ~span ~label ~memo ~plan ~guard ~planner ~count ~r ~s run =
           | None -> (false, false)
         in
         Obs.record_plan ~label ~replanned ~degraded
-          ~decision:(Optimizer.decision_to_string plan.decision)
-          ~est_out:plan.est_out ~join_size:plan.join_size
-          ~est_seconds:plan.est_seconds ~actual_out:(count result)
+          ~decision:(Optimizer.decision_to_string ran.decision)
+          ~est_out:ran.est_out ~join_size:ran.join_size
+          ~est_seconds:ran.est_seconds ~actual_out:(count result)
           ~actual_seconds:(Jp_util.Timer.now () -. t0)
           ~phases:(List.rev !phases) ()
       end;
-      result)
+      (result, plan))
 
-let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
-    ?tile ~r ~s () =
-  let memo = Option.value memo ~default:no_memo in
+let boolean ~domains ~strategy ~plan ~guard ?cancel ~memo ?tile ~r ~s () =
   with_plan ~span:"two_path.project" ~label:"two_path" ~memo ~plan ~guard
     ~planner:(fun est_out mm_cost_scale prep ->
       Optimizer.plan_prepared ~domains ~kind:Jp_matrix.Cost.Boolean ?est_out
@@ -623,10 +512,15 @@ let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
           ~s plan,
         plan ))
 
+let project ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel ?memo
+    ?tile ~r ~s () =
+  let memo = Option.value memo ~default:no_memo in
+  fst (boolean ~domains ~strategy ~plan ~guard ?cancel ~memo ?tile ~r ~s ())
+
 let project_with_plan_info ?(domains = 1) ?(strategy = Matrix) ?guard ?cancel
     ?tile ~r ~s () =
-  let plan = Optimizer.plan ~domains ~kind:Jp_matrix.Cost.Boolean ~r ~s () in
-  (project ~domains ~strategy ~plan ?guard ?cancel ?tile ~r ~s (), plan)
+  boolean ~domains ~strategy ~plan:None ~guard ?cancel ~memo:no_memo ?tile ~r ~s
+    ()
 
 (* ------------------------------------------------------------------ *)
 (* Exact-count evaluation (partition on the join variable only)        *)
@@ -658,59 +552,27 @@ let counted_partitioned ?cancel ?tile ?checkpoint ~phases ~domains ~memo ~r ~s
   Cancel.check_opt cancel;
   Obs.phase phases "count-merge" (fun () ->
       Obs.span "two_path.count_merge" (fun () ->
-          let nz = Relation.src_count s in
-          let count_scratch () = (row_acc ~s, Array.make nz 0) in
-          let run_rows (t, counts) lo hi =
-            let obs = Obs.recording () in
-            let light_scans = ref 0 and presented = ref 0 and misses = ref 0 in
-            (* Counts need the stamp check even on a spilled row: it tells
-               a first witness from a repeated one. *)
-            let bump c k =
-              if fresh t c then begin
-                Array.unsafe_set counts c k;
-                collect t c
-              end
-              else Array.unsafe_set counts c (Array.unsafe_get counts c + k)
-            in
+          let run_rows t lo hi =
             for a = lo to hi - 1 do
-              start_row t a;
+              Row_acc.start t;
               Array.iter
                 (fun b ->
-                  if treat_all_light || p.light_y.(b) then begin
-                    let zs = Relation.adj_dst s b in
-                    if obs then begin
-                      light_scans := !light_scans + Array.length zs;
-                      presented := !presented + Array.length zs
-                    end;
-                    Array.iter (fun c -> bump c 1) zs
-                  end)
+                  if treat_all_light || p.light_y.(b) then
+                    Row_acc.scan_counted t (Relation.adj_dst s b))
                 (Relation.adj_src r a);
               (match product with
               | Some m ->
                 let i = p.x_index.(a) in
-                if i >= 0 then
-                  Array.iteri
-                    (fun l c ->
-                      let k = Intmat.get m i l in
-                      if k > 0 then begin
-                        if obs then Stdlib.incr presented;
-                        bump c k
-                      end)
-                    p.heavy_z
+                if i >= 0 then Row_acc.scan_weighted t p.heavy_z m.Intmat.data.(i)
               | None -> ());
-              let zs = finish_row t in
-              if obs then misses := !misses + Array.length zs;
-              let cs = Array.map (fun c -> counts.(c)) zs in
-              rows.(a) <- (zs, cs)
+              rows.(a) <- Row_acc.finish_counted t
             done;
-            if obs then begin
-              Obs.add Obs.C.light_probes !light_scans;
-              Obs.add Obs.C.stamp_misses !misses;
-              Obs.add Obs.C.stamp_hits (!presented - !misses)
-            end
+            Row_acc.record t
           in
           Jp_parallel.Pool.split_ranges ~domains ?cancel ~chunk:poll_rows ~lo:0
-            ~hi:nx ~alloc:count_scratch (fun scratch lo hi ->
+            ~hi:nx
+            ~alloc:(fun () -> Row_acc.create_counted (Relation.src_count s))
+            (fun scratch lo hi ->
               run_rows scratch lo hi;
               true);
           (Counted_pairs.of_rows_unchecked rows, use_matrix)))
@@ -790,9 +652,10 @@ let project_counts ?(domains = 1) ?(strategy = Matrix) ?plan ?guard ?cancel
     ?memo ?tile ?(matrix_cell_cap = 200_000_000) ~r ~s () =
   let memo = Option.value memo ~default:no_memo in
   Cancel.check_opt cancel;
-  with_plan ~span:"two_path.project_counts" ~label:"two_path.counts" ~memo ~plan
-    ~guard
-    ~planner:(fun est_out mm_cost_scale prep ->
-      Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale prep ())
-    ~count:Counted_pairs.count ~r ~s
-    (run_counts ?cancel ?tile ~domains ~strategy ~memo ~matrix_cell_cap ~r ~s)
+  fst
+    (with_plan ~span:"two_path.project_counts" ~label:"two_path.counts" ~memo
+       ~plan ~guard
+       ~planner:(fun est_out mm_cost_scale prep ->
+         Optimizer.plan_counts_prepared ~domains ?est_out ?mm_cost_scale prep ())
+       ~count:Counted_pairs.count ~r ~s
+       (run_counts ?cancel ?tile ~domains ~strategy ~memo ~matrix_cell_cap ~r ~s))

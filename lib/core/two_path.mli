@@ -10,10 +10,13 @@
       adjacency matrices of R⁺ and S⁺;
     + the parts are merged with per-x deduplication (a pair can be
       discovered both by a light witness and by the matrix, so the union
-      is not disjoint — the merge handles it).  A sparse row is
-      deduplicated with a stamp vector and radix-sorted; a dense one
-      (about one id per 62-bit word of dom(z)) is collected in a bitset
-      over dom(z) and read off in ascending order, with no sort.
+      is not disjoint — the merge handles it).  Each row goes through
+      {!Jp_wcoj.Row_acc}, the accumulator {!Jp_wcoj.Expand} uses too: a
+      sparse row is deduplicated with a stamp vector and radix-sorted, a
+      dense one is collected in a bitset over dom(z) and read off in
+      ascending order, with no sort.  The counted merge keeps witness
+      counts in the same accumulator and adds the count product's row
+      to them.
 
     [Combinatorial] replaces step 2 with the same stamp-vector expansion
     restricted to heavy tuples: that is the paper's {b Non-MMJoin}
@@ -53,7 +56,7 @@ type strategy =
     thresholds — and may return a previously built value for the same
     (r, s, thresholds) instead of running it.  A memo value is specific
     to the (r, s) pair it was created for; hooks are consulted once per
-    phase, never per tuple. *)
+    phase, never per tuple.  [?memo] absent runs every builder. *)
 type memo = {
   memo_prepared : (unit -> Optimizer.prepared) -> Optimizer.prepared;
   memo_bool_product :
@@ -83,10 +86,6 @@ type memo = {
     Jp_matrix.Intmat.t;
       (** Tile-granularity sibling of [memo_count_product]. *)
 }
-
-val no_memo : memo
-(** Identity hooks: every builder runs.  [?memo] absent is exactly
-    [no_memo]. *)
 
 val heavy_product :
   ?domains:int ->
@@ -170,7 +169,7 @@ val project_with_plan_info :
   s:Relation.t ->
   unit ->
   Pairs.t * Optimizer.plan
-(** {!project} that also returns the plan it chose (for EXPLAIN-style
-    reporting in the CLI and benches).  The returned plan is the
-    un-injected one it starts from; with [guard] the execution may still
-    re-plan away from it. *)
+(** {!project} that also returns the initial plan it chose (for
+    EXPLAIN-style reporting in the CLI and benches).  With [guard] that
+    plan is made from the guard's injected estimate, exactly as in
+    {!project}, and the execution may still re-plan away from it. *)

@@ -79,8 +79,6 @@ let count_product ?(domains = 1) a b =
       else Jp_parallel.Pool.parallel_for ~domains ~lo:0 ~hi:u do_row;
       c)
 
-let row_nnz m i = Bitset.count m.data.(i)
-
 let nnz m = Array.fold_left (fun acc r -> acc + Bitset.count r) 0 m.data
 
 let iter_row m i f = Bitset.iter f m.data.(i)

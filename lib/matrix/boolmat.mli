@@ -48,8 +48,6 @@ val count_product : ?domains:int -> t -> t -> Intmat.t
     [Invalid_argument] naming both operand shapes when the shared inner
     dimensions disagree. *)
 
-val row_nnz : t -> int -> int
-
 val nnz : t -> int
 
 val iter_row : t -> int -> (int -> unit) -> unit

@@ -54,11 +54,8 @@ val set_machine : machine -> unit
 val mhat : machine -> kind -> u:int -> v:int -> w:int -> cores:int -> float
 (** [mhat m kind ~u ~v ~w ~cores] estimates wall seconds to multiply
     [u×v · v×w] with the given kernel on [cores] cores, including the
-    matrix-construction cost [C] (Section 3.1). *)
-
-val construction_seconds : machine -> u:int -> v:int -> w:int -> float
-(** Estimated time to materialize the two input matrices
-    ([max(u·v, v·w)] cell writes, Section 3.1's [C] term). *)
+    matrix-construction cost [C] (Section 3.1): [max(u·v, v·w)] cell
+    writes to materialize the two input matrices. *)
 
 val tile_operand_bytes : kind -> u:int -> v:int -> w:int -> int
 (** Bytes of the two bit-packed operand matrices a [u×v · v×w] product

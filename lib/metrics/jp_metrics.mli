@@ -124,9 +124,6 @@ val add_gauge : gauge -> int -> unit
 
 val gauge_value : gauge -> int
 
-val gauge_values : unit -> (string * int) list
-(** Every registered gauge, sorted by name. *)
-
 (** {1 Snapshots} *)
 
 val snapshot : ?now:float -> unit -> unit
@@ -193,14 +190,10 @@ val exposition : unit -> string
     histograms, each sorted by name — the output is deterministic up to
     the recorded values. *)
 
-val counter_events : base:float -> Jp_obs.Json.t list
-(** One Chrome-trace ["C"] (counter) event per gauge per snapshot, with
-    [ts] microseconds relative to [base] — the lane that shows queue
-    depth / in-flight / cache bytes evolving under the span lanes. *)
-
 val chrome_trace : unit -> Jp_obs.Json.t
-(** [Jp_obs.chrome_trace] plus {!counter_events} sampled at the recorded
-    snapshot times. *)
+(** [Jp_obs.chrome_trace] plus one ["C"] (counter) event per gauge per
+    recorded snapshot: the lane that shows queue depth / in-flight /
+    cache bytes evolving under the span lanes. *)
 
 val chrome_trace_string : unit -> string
 

@@ -74,7 +74,6 @@ type t
     order (a fragment sits at its first atom's position). *)
 
 val plan :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?catalog:Yannakakis.catalog ->
@@ -85,9 +84,9 @@ val plan :
     without it, fragments are recognized structurally but [Cost_gate]
     carves none.  The gate only runs under [Cost_gate] — the forced
     policies must not pay for a verdict they ignore — so their
-    candidates carry [gate = None].  [machine] overrides the calibrated
-    cost model (tests use it to force either verdict).  Default policy
-    is [Cost_gate]. *)
+    candidates carry [gate = None].  The gate prices plans with the
+    machine model of {!Jp_matrix.Cost.machine}.  Default policy is
+    [Cost_gate]. *)
 
 val query : t -> Cq.t
 
@@ -109,7 +108,6 @@ val explain : t -> string
     join variable, atoms, cost-gate estimates) and per scan. *)
 
 val run :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?guard:Jp_adaptive.Guard.config ->
@@ -129,7 +127,6 @@ val run :
     perfbench's bound. *)
 
 val boolean :
-  ?machine:Jp_matrix.Cost.machine ->
   ?domains:int ->
   ?policy:policy ->
   ?guard:Jp_adaptive.Guard.config ->

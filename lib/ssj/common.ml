@@ -16,7 +16,6 @@ let upper_pairs ?keep counted ~c =
   in
   Pairs.of_rows_unchecked rows
 
-let pair_list = Pairs.to_list
 
 let iter_c_subsets elems ~c f =
   let n = Array.length elems in

@@ -14,9 +14,6 @@ val upper_pairs : ?keep:(int -> int -> bool) -> Counted_pairs.t -> c:int -> Pair
     [keep i j]; the canonical way to turn a counted self-join into the SSJ
     result. *)
 
-val pair_list : Pairs.t -> (int * int) list
-(** Sorted pair list (tests and ordered enumeration). *)
-
 val iter_c_subsets : int array -> c:int -> (int list -> unit) -> unit
 (** [iter_c_subsets elems ~c f] calls [f] once per size-[c] subset of the
     strictly increasing [elems], as an increasing list.  The number of

@@ -19,8 +19,6 @@ module Pairs = Jp_relation.Pairs
 
 type options = { mm_heavy : bool; mm_light : bool; prefix : bool }
 
-val all_on : options
-
 val ablation : [ `No_op | `Light | `Heavy | `Prefix ] -> options
 (** Figure 8's cumulative configurations. *)
 

@@ -36,11 +36,9 @@ type config = private { tile_bits : int; budget_bytes : int option }
     bounds the operand-tile resident set ([None] = unbounded: every
     operand tile stays resident once built). *)
 
-val default_tile_bits : int
-(** 9: 512×512 tiles, ≈ 33 KiB of bitset words per boolean tile. *)
-
 val config : ?tile_bits:int -> ?budget_bytes:int -> unit -> config
-(** [tile_bits] is clamped to [[4, 20]]. *)
+(** [tile_bits] (default 9: 512×512 tiles, ≈ 33 KiB of bitset words per
+    boolean tile) is clamped to [[4, 20]]. *)
 
 (** Lazy operand views: shape plus a row iterator, so tiles can be
     (re)built on demand without ever materializing the full operand

@@ -17,9 +17,6 @@ val copy : t -> t
 (** [copy t] is an independent generator positioned at the same point of the
     stream as [t]. *)
 
-val next64 : t -> int64
-(** Next raw 64-bit output word. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 

@@ -228,7 +228,15 @@ let test_estimator_sampled () =
   let ratio = float_of_int (max est truth) /. float_of_int (max 1 (min est truth)) in
   Alcotest.(check bool) "sampled within 2x of truth" true (ratio < 2.0);
   (* determinism *)
-  Alcotest.(check int) "deterministic" est (Estimator.sampled ~sample:10_000 ~r ~s:r ())
+  Alcotest.(check int) "deterministic" est (Estimator.sampled ~sample:10_000 ~r ~s:r ());
+  (* Pinned on the spill instance, whose 66 x values 64 draws repeat and
+     whose rows straddle the spill point: the value the parent commit's
+     stamp-only count gave, strictly inside the bounds (not a clamp). *)
+  let r, s = spill_instance () in
+  let lower, upper = Estimator.bounds ~r ~s in
+  let est = Estimator.sampled ~seed:7 ~r ~s () in
+  Alcotest.(check int) "sampled pinned, seed 7" 6231 est;
+  Alcotest.(check bool) "pin is not a clamp" true (lower < est && est < upper)
 
 (* Algorithm 3 on the six presets at scale 0.2 under [fixed_machine]:
    decision, est_out, join size and the bit pattern of est_seconds, for
@@ -347,6 +355,32 @@ let test_plan_info () =
   Alcotest.(check bool) "count positive" true (Pairs.count pairs > 0);
   Alcotest.(check bool) "plan join size positive" true (plan.Optimizer.join_size > 0)
 
+(* With a guard, the plan [project_with_plan_info] returns is the one
+   the guarded run starts from: made from the injected estimate, the
+   same plan [project] records, with the same answer. *)
+let test_plan_info_injected () =
+  let module Guard = Jp_adaptive.Guard in
+  let r = Gen.skewed_relation ~seed:48 ~nx:30 ~ny:25 ~edges:300 () in
+  let _, clean = Two_path.project_with_plan_info ~r ~s:r () in
+  let guard = Guard.with_inject (Jp_adaptive.Inject.out_only 100.) Guard.default in
+  let pairs, plan = Two_path.project_with_plan_info ~guard ~r ~s:r () in
+  Alcotest.(check int) "est_out injected 100x" (100 * clean.Optimizer.est_out)
+    plan.Optimizer.est_out;
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  let recorded =
+    Fun.protect
+      ~finally:(fun () ->
+        Jp_obs.disable ();
+        Jp_obs.reset ())
+      (fun () ->
+        ignore (Two_path.project ~guard ~r ~s:r ());
+        List.map (fun p -> p.Jp_obs.est_out) (Jp_obs.plan_records ()))
+  in
+  Alcotest.(check (list int)) "project starts from the same plan"
+    [ plan.Optimizer.est_out ] recorded;
+  check_pairs "answer" (Gen.brute_two_path ~r ~s:r) (Gen.pairs_to_list pairs)
+
 (* An absent capability is a no-op: every engine runs the same chunked
    loops with or without a cancel token, so a token that never fires
    changes neither the answer nor any work counter.  [nx] exceeds the
@@ -437,6 +471,44 @@ let test_merge_counters_pinned () =
       check_pairs "sparse row" (Gen.brute_two_path ~r ~s) (Gen.pairs_to_list got);
       Alcotest.(check bool) "sparse row is radix-sorted" true
         (List.assoc "sort.radix_bytes" work > 0))
+
+(* [Expand] deduplicates its rows in the same accumulator as the merge,
+   so on the spill instance it counts what a stamp-only expansion counts
+   (light.probes, stamp hits, stamp misses = 6278/482/5796, recorded at
+   the parent commit for both variants) while its rows past the spill
+   point are drained from the bitset instead of radix-sorted (45,296
+   radix bytes at the parent commit). *)
+let test_expand_counters_pinned () =
+  let r, s = spill_instance () in
+  Jp_obs.reset ();
+  Jp_obs.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Jp_obs.disable ();
+      Jp_obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (label, run) ->
+          List.iter
+            (fun domains ->
+              let (), work = counter_deltas (fun () -> run domains) in
+              let name = Printf.sprintf "%s, domains=%d" label domains in
+              Alcotest.(check (list int))
+                (name ^ ": probes, stamp hits, stamp misses")
+                [ 6278; 482; 5796 ]
+                (List.map
+                   (fun c -> List.assoc c work)
+                   [ "light.probes"; "dedup.stamp_hits"; "dedup.stamp_misses" ]);
+              Alcotest.(check bool) (name ^ ": fewer radix bytes") true
+                (List.assoc "sort.radix_bytes" work < 45_296))
+            [ 1; 2 ])
+        [
+          ( "project",
+            fun domains -> ignore (Jp_wcoj.Expand.project ~domains ~r ~s ()) );
+          ( "project_counts",
+            fun domains ->
+              ignore (Jp_wcoj.Expand.project_counts ~domains ~r ~s ()) );
+        ])
 
 (* The tiled heavy product through [Two_path]: [Jp_tile] builds its
    operand tiles from the rows [Two_path] feeds it, and their order and
@@ -600,8 +672,10 @@ let suite =
     Alcotest.test_case "optimizer dense partition" `Quick test_optimizer_picks_partition_on_dense;
     Alcotest.test_case "theoretical thresholds" `Quick test_theoretical_thresholds;
     Alcotest.test_case "plan info" `Quick test_plan_info;
+    Alcotest.test_case "plan info under injection" `Quick test_plan_info_injected;
     Alcotest.test_case "plans pinned on the presets" `Quick test_plans_pinned;
     Alcotest.test_case "merge counters pinned" `Quick test_merge_counters_pinned;
+    Alcotest.test_case "expand counters pinned" `Quick test_expand_counters_pinned;
     Alcotest.test_case "tiled heavy product pinned" `Quick
       test_tiled_heavy_pinned;
     Alcotest.test_case "absent capability is a no-op" `Quick

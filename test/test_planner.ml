@@ -11,8 +11,8 @@ module Tuples = Jp_relation.Tuples
 let parse_ok s =
   match Cq.parse s with Ok q -> q | Error e -> Alcotest.failf "parse failed: %s" e
 
-let plan_ok ?machine ?policy ?catalog q =
-  match Planner.plan ?machine ?policy ?catalog q with
+let plan_ok ?policy ?catalog q =
+  match Planner.plan ?policy ?catalog q with
   | Ok t -> t
   | Error e -> Alcotest.failf "plan failed: %s" e
 
@@ -151,10 +151,18 @@ let skewed_catalog =
      in
      [ ("R", dense ~nx:40 ~ny:3); ("S", dense ~nx:40 ~ny:3) ])
 
+(* The cost gate prices plans with the process-wide machine model; [f]
+   runs with it pinned to [m]. *)
+let with_machine m f =
+  let prev = Jp_matrix.Cost.machine () in
+  Jp_matrix.Cost.set_machine m;
+  Fun.protect ~finally:(fun () -> Jp_matrix.Cost.set_machine prev) f
+
 let test_cost_gate_carves () =
+  with_machine mm_loving_machine @@ fun () ->
   let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
   let catalog = Lazy.force skewed_catalog in
-  let t = plan_ok ~machine:mm_loving_machine ~policy:Planner.Cost_gate ~catalog q in
+  let t = plan_ok ~policy:Planner.Cost_gate ~catalog q in
   (match Planner.fragments t with
   | [ f ] -> (
     match f.Planner.gate with
@@ -166,7 +174,7 @@ let test_cost_gate_carves () =
   | fs -> Alcotest.failf "expected 1 carved fragment, got %d" (List.length fs));
   (* the carved plan and the foil agree on the answer *)
   let run policy =
-    match Planner.run ~machine:mm_loving_machine ~policy catalog q with
+    match Planner.run ~policy catalog q with
     | Ok out -> Tuples.to_list out
     | Error e -> Alcotest.failf "run failed: %s" e
   in
@@ -176,9 +184,10 @@ let test_cost_gate_carves () =
 let test_cost_gate_declines () =
   (* Same query, machine with free inserts: WCOJ wins, nothing carved,
      but the candidate is still reported with its verdict. *)
+  with_machine mm_averse_machine @@ fun () ->
   let q = parse_ok "Q(a, c) :- R(a, b), S(c, b)" in
   let catalog = Lazy.force skewed_catalog in
-  let t = plan_ok ~machine:mm_averse_machine ~policy:Planner.Cost_gate ~catalog q in
+  let t = plan_ok ~policy:Planner.Cost_gate ~catalog q in
   Alcotest.(check int) "nothing carved" 0 (List.length (Planner.fragments t));
   match Planner.candidates t with
   | [ f ] -> (

@@ -3,6 +3,8 @@ module Leapfrog = Jp_wcoj.Leapfrog
 module Expand = Jp_wcoj.Expand
 module Star = Jp_wcoj.Star
 module Tuples = Jp_relation.Tuples
+module Row_acc = Jp_wcoj.Row_acc
+module Bitset = Jp_util.Bitset
 
 (* regression: k=1 used to loop forever (matches overshot k after emit) *)
 let test_leapfrog_k1_terminates () =
@@ -58,10 +60,7 @@ let test_expand_filters () =
   Alcotest.(check (list (pair int int))) "keep_y" [ (0, 5) ]
     (Gen.pairs_to_list only_y0);
   let xs_only = Expand.project ~xs:[| 1 |] ~r ~s () in
-  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only);
-  let keep_zy = Expand.project ~keep_zy:(fun z _ -> z = 6) ~r ~s () in
-  Alcotest.(check (list (pair int int))) "keep_zy" [ (0, 6); (1, 6) ]
-    (Gen.pairs_to_list keep_zy)
+  Alcotest.(check (list (pair int int))) "xs" [ (1, 6) ] (Gen.pairs_to_list xs_only)
 
 let test_expand_counts () =
   let r = Relation.of_edges [| (0, 0); (0, 1); (0, 2) |] in
@@ -79,12 +78,103 @@ let prop_expand_counts =
       Gen.counted_to_list (Expand.project_counts ~r ~s ())
       = Gen.brute_two_path_counts ~r ~s)
 
-let test_count_distinct () =
-  let r = Gen.random_relation ~seed:15 ~nx:20 ~ny:15 ~edges:80 () in
-  let s = Gen.random_relation ~seed:16 ~nx:18 ~ny:15 ~edges:70 () in
-  Alcotest.(check int) "count_distinct = |project|"
-    (Jp_relation.Pairs.count (Expand.project ~r ~s ()))
-    (Expand.count_distinct ~r ~s ())
+(* Sort-merge reference for a counted row: (id, witnesses) entries
+   summed per id, ascending. *)
+let sum_by_id entries =
+  List.rev
+    (List.fold_left
+       (fun acc (c, k) ->
+         match acc with
+         | (c', k') :: rest when c' = c -> (c, k + k') :: rest
+         | _ -> (c, k) :: acc)
+       [] (List.sort compare entries))
+
+(* One row through a boolean and a counted accumulator over ids
+   [0, n): [lists] scanned, then a product row [bits] whose columns map
+   to the even ids (boolean: [finish_mapped], or [finish] when there is
+   none; counted: weight [l mod 3] per column [l]).  [true] iff both
+   match a sort-dedup of the same ids. *)
+let row_acc_agrees ~bool_acc ~count_acc ~n lists bits =
+  let map = Array.init ((n + 1) / 2) (fun l -> 2 * l) in
+  let b = Bitset.create (Array.length map) in
+  List.iter (Bitset.set b) bits;
+  let bits = List.sort_uniq compare bits in
+  let ids = List.concat lists in
+  Row_acc.start bool_acc;
+  List.iter (fun l -> Row_acc.scan bool_acc (Array.of_list l)) lists;
+  let distinct = Row_acc.distinct bool_acc in
+  let got =
+    if bits = [] then Row_acc.finish bool_acc
+    else Row_acc.finish_mapped bool_acc b map
+  in
+  let ks = Array.mapi (fun l _ -> if Bitset.mem b l then l mod 3 else 0) map in
+  Row_acc.start count_acc;
+  List.iter (fun l -> Row_acc.scan_counted count_acc (Array.of_list l)) lists;
+  Row_acc.scan_weighted count_acc map ks;
+  let zs, cs = Row_acc.finish_counted count_acc in
+  distinct = List.length (List.sort_uniq compare ids)
+  && Array.to_list got
+     = List.sort_uniq compare (ids @ List.map (fun l -> map.(l)) bits)
+  && List.combine (Array.to_list zs) (Array.to_list cs)
+     = sum_by_id
+         (List.map (fun c -> (c, 1)) ids
+         @ List.filter_map
+             (fun l -> if l mod 3 > 0 then Some (map.(l), l mod 3) else None)
+             bits)
+
+(* Rows of 0 to ~400 ids over widths whose spill points are 32, 32 and
+   66 ids, so rows fall on both sides of it; one pair of accumulators
+   serves every row of a case. *)
+let prop_row_acc =
+  QCheck.Test.make ~name:"row accumulator = sort-dedup" ~count:200
+    QCheck.(
+      make
+        Gen.(
+          oneofl [ 40; 240; 4000 ] >>= fun n ->
+          list_size (int_range 1 6)
+            (pair
+               (list_size (int_range 0 5)
+                  (list_size (int_range 0 80) (int_bound (n - 1))))
+               (list_size (int_range 0 40) (int_bound (((n + 1) / 2) - 1))))
+          >|= fun rows -> (n, rows)))
+    (fun (n, rows) ->
+      let bool_acc = Row_acc.create n and count_acc = Row_acc.create_counted n in
+      List.for_all
+        (fun (lists, bits) -> row_acc_agrees ~bool_acc ~count_acc ~n lists bits)
+        rows)
+
+(* Width 240 spills at 32 distinct ids: rows of 31, 32 and 33 distinct
+   ids, each id presented twice, in both accumulators reused across the
+   rows; a spilled row left unfinished does not leak into the next. *)
+let test_row_acc_spill_point () =
+  let n = 240 in
+  let bool_acc = Row_acc.create n and count_acc = Row_acc.create_counted n in
+  List.iter
+    (fun k ->
+      let ids = List.init k (fun i -> (i * 7) mod n) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d distinct ids" k)
+        true
+        (row_acc_agrees ~bool_acc ~count_acc ~n [ ids; List.rev ids ] []);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d distinct ids and a product row" k)
+        true
+        (row_acc_agrees ~bool_acc ~count_acc ~n [ ids ] [ 0; 5; k / 2 ]))
+    [ 31; 32; 33; 0; 120 ];
+  Row_acc.start bool_acc;
+  Row_acc.scan bool_acc (Array.init 100 Fun.id);
+  Alcotest.(check int) "spilled row, distinct" 100 (Row_acc.distinct bool_acc);
+  Row_acc.start bool_acc;
+  Row_acc.scan bool_acc [| 7; 3; 7 |];
+  Alcotest.(check (list int)) "unfinished row dropped" [ 3; 7 ]
+    (Array.to_list (Row_acc.finish bool_acc));
+  Row_acc.start bool_acc;
+  Row_acc.scan bool_acc (Array.init 100 Fun.id);
+  Row_acc.start bool_acc;
+  Row_acc.scan bool_acc (Array.init 100 (fun i -> 100 + i));
+  Alcotest.(check (list int)) "unfinished spilled row dropped"
+    (List.init 100 (fun i -> 100 + i))
+    (Array.to_list (Row_acc.finish bool_acc))
 
 let brute_star rels =
   (* cross product per y, global dedup *)
@@ -152,7 +242,8 @@ let suite =
     Alcotest.test_case "expand filters" `Quick test_expand_filters;
     Alcotest.test_case "expand counts" `Quick test_expand_counts;
     QCheck_alcotest.to_alcotest prop_expand_counts;
-    Alcotest.test_case "count_distinct" `Quick test_count_distinct;
+    QCheck_alcotest.to_alcotest prop_row_acc;
+    Alcotest.test_case "row accumulator spill point" `Quick test_row_acc_spill_point;
     Alcotest.test_case "star project" `Quick test_star_project;
     Alcotest.test_case "star k=2" `Quick test_star_k2_matches_expand;
     Alcotest.test_case "star restrict" `Quick test_star_restrict;
